@@ -1,9 +1,9 @@
 //! The scale sweep: the paper's distribution schemes at 4096–65536
 //! ranks on the event-loop engine.
 //!
-//! The threaded engine tops out at 1024 OS threads; the event loop
-//! schedules rank tasks over virtual time in one thread, which is what
-//! makes these processor counts simulable at all. This bench runs each
+//! The event loop schedules rank tasks over virtual time in one OS
+//! thread, which is what makes these processor counts simulable at all.
+//! This bench runs each
 //! scheme at p ∈ {4096, 16384, 65536} on a fixed n = 4096 workload
 //! (s = 0.1) and writes the `scale` section of `BENCH_scale.json` at
 //! the workspace root:
@@ -25,7 +25,7 @@ use sparsedist_bench::{upsert_bench_sections, workload};
 use sparsedist_core::compress::CompressKind;
 use sparsedist_core::partition::RowBlock;
 use sparsedist_core::schemes::{run_scheme_with, SchemeConfig, SchemeKind};
-use sparsedist_multicomputer::{EngineKind, MachineModel, Multicomputer};
+use sparsedist_multicomputer::{MachineModel, Multicomputer};
 use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ fn test_mode() -> bool {
 }
 
 fn machine(p: usize) -> Multicomputer {
-    Multicomputer::virtual_machine(p, MachineModel::ibm_sp2()).with_engine(EngineKind::EventLoop)
+    Multicomputer::virtual_machine(p, MachineModel::ibm_sp2())
 }
 
 /// Process peak RSS in MiB, from `/proc/self/status` (`VmHWM`). Returns

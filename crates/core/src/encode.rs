@@ -8,7 +8,7 @@
 //!
 //! *Encoding* scans the global array once at the paper's
 //! `(1 + 3s)·cells` cost, collecting the logical streams, then hands them
-//! to the wire codec the [`WirePolicy`] selects ([`Codec::encode_pairs`])
+//! to the wire codec the [`WirePolicy`] selects ([`crate::wire::Codec::encode_pairs`])
 //! — under v1 the bytes are identical to the seed's single-pass layout.
 //! *Decoding* opens the message header to find the codec that wrote the
 //! stream, reads the segments back, and converts each `C_ij` per the
@@ -128,13 +128,13 @@ pub fn decode_part(
 /// Decode a received special buffer in the chosen [`WireFormat`] — the
 /// wire-aware core behind [`decode_part`].
 ///
-/// The message header is validated first ([`CompressError::WireHeader`]
+/// The message header is validated first ([`crate::compress::CompressError::WireHeader`]
 /// on mismatch) and names the codec that actually wrote the stream, so a
 /// v3-configured receiver also accepts a v2 stream from an older sender.
 /// Op accounting is identical in every format.
 ///
 /// # Errors
-/// Same as [`decode_part`], plus [`CompressError::WireHeader`] for a
+/// Same as [`decode_part`], plus [`crate::compress::CompressError::WireHeader`] for a
 /// stream whose header is missing or malformed, and the codec's typed
 /// errors for structurally invalid payloads.
 pub fn decode_part_wire(

@@ -37,14 +37,14 @@ pub enum SparsedistError {
         /// The part that could not be re-homed.
         part: usize,
     },
-    /// The requested machine size exceeds what any engine backend can
-    /// schedule — above the event loop's ceiling there is no backend to
-    /// fall back to, so the request is rejected up front instead of
-    /// failing inside the scheduler (or, worse, at the OS thread limit).
+    /// The requested machine size exceeds the event loop's ceiling
+    /// ([`sparsedist_multicomputer::EngineKind::max_procs`]), so the
+    /// request is rejected up front instead of panicking in the machine
+    /// constructor.
     MachineTooLarge {
         /// The requested processor count.
         procs: usize,
-        /// The largest machine any engine supports.
+        /// The largest machine the engine supports.
         max: usize,
     },
     /// A host filesystem operation failed (trace export, ledger dumps).

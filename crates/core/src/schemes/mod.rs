@@ -565,17 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_mode_runs_and_reassembles() {
-        let a = paper_array_a();
-        let part = RowBlock::new(10, 8, 4);
-        let m = Multicomputer::wall_clock(4);
-        for scheme in SchemeKind::ALL {
-            let run = run_scheme(scheme, &m, &a, &part, CompressKind::Crs).unwrap();
-            assert_eq!(run.reassemble(&part), a);
-        }
-    }
-
-    #[test]
     fn virtual_runs_are_deterministic() {
         let a = paper_array_a();
         let part = Mesh2D::new(10, 8, 2, 2);

@@ -24,9 +24,9 @@ use crate::schemes::pipeline::{recv_part, send_part};
 use crate::schemes::{map_parts_counted, SchemeConfig};
 use crate::wire::{self, WirePolicy};
 use sparsedist_multicomputer::pack::UnpackError;
-use sparsedist_multicomputer::{Env, Multicomputer, PackBuffer, Phase, PhaseLedger, VirtualTime};
-use std::future::Future;
-use std::pin::Pin;
+use sparsedist_multicomputer::{
+    Env, Multicomputer, PackBuffer, Phase, PhaseLedger, RankTask, VirtualTime,
+};
 
 /// Result of a multi-source ED run.
 #[derive(Debug, Clone)]
@@ -129,7 +129,7 @@ struct MultiCtx<'a> {
 fn multi_task<'e>(
     ctx: &'e MultiCtx<'_>,
     env: &'e mut Env,
-) -> Pin<Box<dyn Future<Output = Result<LocalCompressed, SparsedistError>> + 'e>> {
+) -> RankTask<'e, Result<LocalCompressed, SparsedistError>> {
     let (global, part, nsources, config, policy) =
         (ctx.global, ctx.part, ctx.nsources, ctx.config, ctx.policy);
     Box::pin(async move {

@@ -38,15 +38,8 @@ use crate::schemes::{
     alive_ranks_of, assign_owners, collect_parts, map_parts_counted, SchemeConfig, SchemeKind,
     SchemeRun, SOURCE,
 };
-use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase};
+use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase, RankTask};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
-
-/// A rank task's boxed future, borrowing its context and [`Env`] for `'e`
-/// (the shape [`Multicomputer::run_tasks_with_ledgers`] expects back from
-/// its spawning closure).
-type TaskFuture<'e, T> = Pin<Box<dyn Future<Output = T> + 'e>>;
 
 /// How a scheme's source-side encode is charged to the virtual clock.
 pub(crate) enum SourcePolicy {
@@ -176,8 +169,7 @@ pub(crate) fn send_part(
 /// The returned buffer's element count equals the sender's pre-chunking
 /// count, so downstream recycling and accounting are chunking-agnostic.
 ///
-/// Async so the event-loop engine can park the rank between frames; on
-/// the threaded engine each `.await` resolves in the same poll.
+/// Async so the event loop can park the rank between frames.
 pub(crate) async fn recv_part(
     env: &mut Env,
     src: usize,
@@ -450,7 +442,7 @@ struct PlainCtx<'a, S: SchemeStages> {
 fn plain_task<'e, S: SchemeStages>(
     ctx: &'e PlainCtx<'_, S>,
     env: &'e mut Env,
-) -> TaskFuture<'e, Result<Vec<(usize, LocalCompressed)>, SparsedistError>> {
+) -> RankTask<'e, Result<Vec<(usize, LocalCompressed)>, SparsedistError>> {
     Box::pin(async move {
         let me = env.rank();
         env.trace_scope(ctx.stages.scheme().label());
@@ -473,9 +465,7 @@ fn plain_task<'e, S: SchemeStages>(
 
 /// The one SPMD driver behind `run_scheme`: owner assignment, source
 /// encode+send (staged or overlapped), receiver decode (+finish), and
-/// result collection. Runs through the task API, so machines past the
-/// threaded engine's processor cap transparently land on the event-loop
-/// backend with bit-identical ledgers.
+/// result collection, as one rank task per processor on the event loop.
 ///
 /// Fault plans that schedule *timed* rank deaths
 /// ([`sparsedist_multicomputer::FaultPlan::with_death_at`]) switch the run
@@ -853,7 +843,7 @@ struct RoutedCtx<'a, S: SchemeStages> {
 fn routed_task<'e, S: SchemeStages>(
     ctx: &'e RoutedCtx<'_, S>,
     env: &'e mut Env,
-) -> TaskFuture<'e, Result<Vec<(usize, LocalCompressed)>, SparsedistError>> {
+) -> RankTask<'e, Result<Vec<(usize, LocalCompressed)>, SparsedistError>> {
     Box::pin(async move {
         let me = env.rank();
         env.trace_scope(ctx.stages.scheme().label());

@@ -30,7 +30,8 @@
 //!
 //! Which encodings the sender actually uses is the [`CodecChoice`]: the
 //! default `packed` forces maximum shrink, while `auto` prices every
-//! candidate against the α-β [`MachineModel`] — bytes cost
+//! candidate against the α-β
+//! [`sparsedist_multicomputer::MachineModel`] — bytes cost
 //! `t_data / 8` each (the model charges `T_Data` per 8-byte element) and
 //! encode work costs `t_op` per estimated operation — making the paper's
 //! Remark-5 compress-or-not crossover a per-message runtime decision.
@@ -534,7 +535,7 @@ fn decode_plane(cursor: &mut UnpackCursor<'_>, n: usize) -> Result<Vec<u8>, Spar
                 if len > n - out.len() {
                     return Err(codec_err("value-plane RLE runs exceed the value count").into());
                 }
-                out.extend(std::iter::repeat(b).take(len));
+                out.extend(std::iter::repeat_n(b, len));
             }
             if out.len() != n {
                 return Err(codec_err("value-plane RLE runs fall short of the value count").into());

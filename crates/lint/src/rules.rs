@@ -132,7 +132,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "D001",
         summary: "wall-clock time source in deterministic code",
-        hint: "derive time from the virtual clock / machine model; real time only in WallClock mode with a suppression",
+        hint: "derive time from the virtual clock / machine model; host-side timing belongs outside the clock-bearing crates",
         kind: RuleKind::Tokens(&["Instant", "SystemTime"]),
         include: CLOCK_BEARING,
         exclude: &[],
@@ -156,7 +156,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "P001",
         summary: "raw channel primitive outside the engine",
-        hint: "all traffic goes through Env::send/Env::recv so wire costs are charged; only engine.rs owns channels",
+        hint: "all traffic goes through Env::send/Env::recv_async so wire costs are charged; only the engine owns mailboxes",
         kind: RuleKind::Tokens(&["crossbeam::", "unbounded", "bounded"]),
         include: ALL_SRC,
         exclude: &["crates/multicomputer/src/engine.rs"],
@@ -255,7 +255,6 @@ pub const RULES: &[Rule] = &[
         hint: "the event-loop engine parks tasks only at receives; await recv_async/recv_part/receive_parts/routed_receive (or the engine internals), never an arbitrary future",
         kind: RuleKind::AwaitAllowlist(&[
             "recv_async",
-            "next_frame_async",
             "frame_wait",
             "wait_recv_async",
             "recv_part",
@@ -312,13 +311,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "C005",
         summary: "transport-seam access outside crates/multicomputer",
-        hint: "Links/EventFabric and the frame/ack mailboxes are the engine's private seam; schemes talk to Env only",
+        hint: "EventFabric and the frame/ack mailboxes are the engine's private seam; schemes talk to Env only",
         kind: RuleKind::Tokens(&[
-            "Links",
             "EventFabric",
             "push_frame",
+            "pop_frame",
             "frame_wait",
-            "try_next_frame",
             "push_ack",
             "pop_ack",
         ]),

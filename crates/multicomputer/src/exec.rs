@@ -1,42 +1,37 @@
-//! The event-loop engine: every simulated rank runs as a resumable task on
-//! one OS thread, scheduled by message availability on the virtual
-//! timeline.
+//! The event loop that runs every simulated rank as a resumable task on
+//! one OS thread, scheduled by message availability.
 //!
-//! The threaded engine in [`crate::engine`] spawns one OS thread per rank,
-//! which caps realistic machine sizes at around a thousand ranks. This
-//! module removes that cap. The observation that makes it cheap: in
-//! virtual-time mode the *only* operation that ever blocks on a peer is a
-//! receive — sends charge the local clock and append to an unbounded
-//! queue, acks are drained opportunistically, and `wait_all` is local NIC
-//! arithmetic. A rank program is therefore an `async` function whose only
-//! suspension points are receives, and the "scheduler" reduces to: run a
-//! task until it needs a frame that has not been pushed yet, park it keyed
-//! by the awaited source, and wake it when that source pushes a frame (or
-//! finishes, which surfaces [`CommError::Disconnected`] exactly like a
-//! dropped channel endpoint).
+//! Per-rank state is O(1), so one thread drives the paper's sweeps at
+//! tens of thousands of ranks. The observation that makes this cheap:
+//! the *only* operation that ever blocks on a peer is a receive — sends
+//! charge the local clock and append to an unbounded mailbox, acks are
+//! drained opportunistically, and `wait_all` is local NIC arithmetic. A
+//! rank program is therefore an `async` function whose only suspension
+//! points are receives, and the scheduler reduces to: run a task until it
+//! needs a frame that has not been pushed yet, park it keyed by the
+//! awaited source, and wake it when that source pushes a frame (or
+//! finishes, which surfaces [`CommError::Disconnected`]).
 //!
 //! # Determinism
 //!
 //! All charging, ARQ, fault-fate and trace logic lives in
-//! [`crate::engine::Env`] above the transport seam, so a rank's ledger is a
+//! [`crate::engine::Env`] above the mailboxes, so a rank's ledger is a
 //! pure function of its program order and of the frames it consumes, in
-//! order, per link. The fabric preserves per-link FIFO exactly like the
-//! channel matrix, and arrival stamps travel inside the frames — so the
-//! ledgers are bit-identical to the threaded engine's by construction, no
-//! matter in which order the scheduler interleaves tasks (the equality is
-//! additionally enforced by a proptest over the chaos corpus). To keep the
-//! *schedule* itself reproducible too, the ready queue is FIFO, wakes
-//! happen in push order, and this module uses no wall-clock time, no
-//! entropy and no unordered collections (the `sparsedist-lint` D rules
-//! police this file).
+//! order, per link. The fabric preserves per-link FIFO, and arrival
+//! stamps travel inside the frames, so the ledgers do not depend on the
+//! order in which the scheduler interleaves tasks (`sparsedist simcheck`
+//! explores every such order to check this). To keep the *schedule*
+//! itself reproducible too, the ready queue is FIFO, wakes happen in push
+//! order, and this module uses no wall-clock time, no entropy and no
+//! unordered collections (the `sparsedist-lint` D rules police this
+//! file).
 //!
 //! # Stall handling
 //!
-//! Deadlock detection is structural instead of wall-clock: when every
-//! unfinished task is parked, no frame can ever arrive again — the
-//! scheduler marks the fabric stalled and wakes everyone, so each pending
-//! receive returns [`CommError::Stalled`] (the event-loop analogue of the
-//! threaded engine's watchdog, but exact rather than timeout-based).
+//! Deadlock detection is structural: when every unfinished task is
+//! parked, no frame can ever arrive again — the scheduler marks the
+//! fabric stalled and wakes everyone, so each pending receive returns
+//! [`CommError::Stalled`] instead of hanging.
 
 use crate::engine::{AckMsg, CommError, Frame};
 
@@ -47,44 +42,32 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-/// Which execution backend a [`crate::Multicomputer`] uses to drive rank
-/// tasks (see [`crate::Multicomputer::run_tasks`]).
+/// The execution engine of a [`crate::Multicomputer`]. There is one: the
+/// event loop. The type remains as the home of the machine-size cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One OS thread per simulated rank, connected by a channel matrix —
-    /// the original engine. Every task future completes in a single poll
-    /// because its receives block inside the poll.
-    Threaded,
     /// Every rank is a resumable task on a single-threaded deterministic
     /// event loop; receives are yield points scheduled by frame
-    /// availability. Virtual-time mode only.
+    /// availability.
     EventLoop,
 }
 
 impl EngineKind {
-    /// The largest machine this backend supports. The threaded bound keeps
-    /// thread-spawn storms away from OS limits; the event-loop bound is a
-    /// sanity cap on fabric memory (per-rank state is O(1), so the loop
-    /// comfortably drives the paper's sweeps at 65536 ranks).
+    /// The largest machine the engine supports: a sanity cap on fabric
+    /// memory (per-rank state is O(1), so the loop comfortably drives the
+    /// paper's sweeps at 65536 ranks).
     pub fn max_procs(self) -> usize {
-        match self {
-            EngineKind::Threaded => 1024,
-            EngineKind::EventLoop => 131_072,
-        }
+        131_072
     }
 }
 
-/// The shared mailbox fabric connecting event-loop tasks: the event-mode
-/// replacement for the threaded engine's crossbeam channel matrix.
+/// The shared mailbox fabric connecting event-loop tasks.
 ///
 /// Everything lives in one `RefCell` because the event loop is strictly
 /// single-threaded; borrows are confined to the short fabric methods, never
 /// held across a task poll.
 pub(crate) struct EventFabric {
     state: RefCell<FabricState>,
-    /// Installed watchdog bound in milliseconds (0 = none), reported in
-    /// [`CommError::Stalled`] for parity with the threaded engine.
-    watchdog_ms: u64,
 }
 
 /// Mutable fabric state. Mailboxes are keyed `[dst][src]` with sparse
@@ -95,7 +78,7 @@ struct FabricState {
     frames: Vec<BTreeMap<usize, VecDeque<Frame>>>,
     /// In-flight ack/nack control frames, same keying.
     acks: Vec<BTreeMap<usize, VecDeque<AckMsg>>>,
-    /// Tasks whose future has completed (their "channels" are closed).
+    /// Tasks whose future has completed (their mailboxes are closed).
     done: Vec<bool>,
     /// The source each parked task is blocked on (a task waits on at most
     /// one link at a time — receives are sequential within a rank).
@@ -115,6 +98,27 @@ struct FabricState {
 }
 
 impl FabricState {
+    /// Append `frame` to the `src → dst` link. Most links carry a single
+    /// frame at a time, so a new link queue starts with room for one
+    /// (an all-to-all at p = 2048 keeps millions of links open at once).
+    fn push_frame(&mut self, dst: usize, src: usize, frame: Frame) {
+        self.frames[dst]
+            .entry(src)
+            .or_insert_with(|| VecDeque::with_capacity(1))
+            .push_back(frame);
+    }
+
+    /// Pop the next frame on the `src → dst` link, dropping the link's
+    /// queue once it drains so idle links hold no memory.
+    fn pop_frame(&mut self, dst: usize, src: usize) -> Option<Frame> {
+        let queue = self.frames[dst].get_mut(&src)?;
+        let frame = queue.pop_front();
+        if queue.is_empty() {
+            self.frames[dst].remove(&src);
+        }
+        frame
+    }
+
     fn enqueue(&mut self, rank: usize) {
         if !self.queued[rank] && !self.done[rank] {
             self.queued[rank] = true;
@@ -143,7 +147,7 @@ impl FabricState {
 
 impl EventFabric {
     /// A fabric for `p` tasks, all initially runnable in rank order.
-    pub(crate) fn new(p: usize, watchdog_ms: u64) -> Self {
+    pub(crate) fn new(p: usize) -> Self {
         EventFabric {
             state: RefCell::new(FabricState {
                 frames: (0..p).map(|_| BTreeMap::new()).collect(),
@@ -155,43 +159,24 @@ impl EventFabric {
                 queued: vec![true; p],
                 stalled: false,
             }),
-            watchdog_ms,
         }
     }
 
     /// Append a frame to the `src → dst` link, waking `dst` if it is
-    /// parked on that link. Fails like a closed channel when `dst`'s task
-    /// has already completed.
+    /// parked on that link. Fails with [`CommError::Disconnected`] when
+    /// `dst`'s task has already completed.
     pub(crate) fn push_frame(&self, dst: usize, src: usize, frame: Frame) -> Result<(), CommError> {
         let mut st = self.state.borrow_mut();
         if st.done[dst] {
             return Err(CommError::Disconnected { peer: dst });
         }
-        st.frames[dst].entry(src).or_default().push_back(frame);
+        st.push_frame(dst, src, frame);
         st.stalled = false; // a frame in flight is progress
         if st.waiting_on[dst] == Some(src) {
             st.waiting_on[dst] = None;
             st.enqueue(dst);
         }
         Ok(())
-    }
-
-    /// Synchronous receive attempt, for [`crate::Env::recv`] callers that
-    /// reached an event-mode env. Never parks (there is no thread to
-    /// block): an empty link surfaces as a stall, pointing at the API
-    /// contract that event-loop rank programs await their receives.
-    pub(crate) fn try_next_frame(&self, rank: usize, src: usize) -> Result<Frame, CommError> {
-        let mut st = self.state.borrow_mut();
-        if let Some(frame) = st.frames[rank].get_mut(&src).and_then(VecDeque::pop_front) {
-            return Ok(frame);
-        }
-        if st.done[src] {
-            return Err(CommError::Disconnected { peer: src });
-        }
-        Err(CommError::Stalled {
-            src,
-            waited_ms: self.watchdog_ms,
-        })
     }
 
     /// A future resolving to the next frame on the `src → rank` link (or
@@ -205,8 +190,7 @@ impl EventFabric {
         }
     }
 
-    /// Best-effort ack push (acks to a finished task vanish, exactly like
-    /// sends on a dropped channel endpoint).
+    /// Best-effort ack push (acks to a finished task vanish).
     pub(crate) fn push_ack(&self, dst: usize, src: usize, ack: AckMsg) {
         let mut st = self.state.borrow_mut();
         if !st.done[dst] {
@@ -249,22 +233,16 @@ impl Future for FrameWait {
             st.enqueue(this.rank);
             return Poll::Pending;
         }
-        if let Some(frame) = st.frames[this.rank]
-            .get_mut(&this.src)
-            .and_then(VecDeque::pop_front)
-        {
+        if let Some(frame) = st.pop_frame(this.rank, this.src) {
             return Poll::Ready(Ok(frame));
         }
         if st.done[this.src] {
             // Drained and the peer has exited: the link can only ever be
-            // empty from here on — the channel-close semantics.
+            // empty from here on.
             return Poll::Ready(Err(CommError::Disconnected { peer: this.src }));
         }
         if st.stalled {
-            return Poll::Ready(Err(CommError::Stalled {
-                src: this.src,
-                waited_ms: this.fabric.watchdog_ms,
-            }));
+            return Poll::Ready(Err(CommError::Stalled { src: this.src }));
         }
         st.waiting_on[this.rank] = Some(this.src);
         st.waiters[this.src].push(this.rank);
@@ -382,7 +360,7 @@ fn noop_raw_waker() -> RawWaker {
 /// A waker that does nothing: wakeups are tracked in the fabric's
 /// `waiting_on`/`waiters` tables, not through the std waker protocol
 /// (hand-rolled because `Waker::noop` postdates the MSRV).
-pub(crate) fn noop_waker() -> Waker {
+fn noop_waker() -> Waker {
     // SAFETY: every vtable entry ignores its data pointer and carries no
     // state, so the RawWaker contract (clone/wake/wake_by_ref/drop over a
     // null pointer) is upheld trivially.
@@ -431,7 +409,7 @@ pub(crate) fn drive<'f, T>(
                 remaining -= 1;
                 let mut st = fabric.state.borrow_mut();
                 st.done[rank] = true;
-                // Closing the rank's "channels" is progress: peers blocked
+                // Closing the rank's mailboxes is progress: peers blocked
                 // on it must now observe the disconnect.
                 st.stalled = false;
                 st.wake_waiters_of(rank);

@@ -83,9 +83,8 @@ impl<T> Exploration<T> {
 /// Run `run` under every message-delivery schedule (up to
 /// `max_schedules`) and compare outcomes.
 ///
-/// `run` must execute the configuration on the **event-loop engine on
-/// this thread** ([`crate::EngineKind::EventLoop`] — the schedule
-/// override is thread-local) and digest the result into a `PartialEq`
+/// `run` must execute the configuration **on this thread** (the
+/// schedule override is thread-local) and digest the result into a `PartialEq`
 /// value covering everything that must be schedule-invariant. It is
 /// called once per schedule; the first call uses the engine's canonical
 /// FIFO order, so `baseline` equals what a production run produces.
@@ -170,7 +169,6 @@ fn next_prefix(trace: &[(usize, usize)]) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::engine::Multicomputer;
-    use crate::exec::EngineKind;
     use crate::model::MachineModel;
     use crate::pack::PackBuffer;
 
@@ -182,7 +180,7 @@ mod tests {
     /// With p ranks all initially ready, the first scheduler step already
     /// offers a choice, so the tree has multiple leaves.
     fn fan_out_digest(p: usize) -> String {
-        let m = Multicomputer::virtual_machine(p, model()).with_engine(EngineKind::EventLoop);
+        let m = Multicomputer::virtual_machine(p, model());
         let (results, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
             Box::pin(async move {
                 if env.rank() == 0 {
@@ -255,7 +253,7 @@ mod tests {
         use std::sync::Mutex;
         let run = || {
             let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let m = Multicomputer::virtual_machine(3, model()).with_engine(EngineKind::EventLoop);
+            let m = Multicomputer::virtual_machine(3, model());
             m.run_tasks(&order, |order, env| {
                 Box::pin(async move {
                     order.lock().unwrap().push(env.rank());

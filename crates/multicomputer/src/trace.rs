@@ -11,8 +11,8 @@
 //! # Determinism rules
 //!
 //! Tracing is **observational**: it never charges the virtual clock, never
-//! reorders an existing charge, and is collected per rank on that rank's
-//! own thread. With no sink installed (or a disabled one such as
+//! reorders an existing charge, and is collected per rank in that rank's
+//! own [`crate::Env`]. With no sink installed (or a disabled one such as
 //! [`NullSink`]) no tracer is allocated at all, so ledgers and clocks are
 //! byte-identical to an untraced run. With a sink attached the clocks are
 //! *still* identical — the spans are a pure function of the charges.
@@ -185,9 +185,9 @@ pub struct RankTrace {
 
 /// Where completed rank traces go.
 ///
-/// [`crate::engine::Multicomputer::run_with_ledgers`] calls
+/// [`crate::engine::Multicomputer::run_tasks_with_ledgers`] calls
 /// [`TraceSink::record`] once per rank, in rank order, after every rank's
-/// closure has joined — sinks never observe a half-finished run and never
+/// task has finished — sinks never observe a half-finished run and never
 /// need internal ordering logic.
 pub trait TraceSink: Send + Sync {
     /// When false, the engine allocates no tracer at all: zero overhead,

@@ -5,7 +5,7 @@ use sparsedist_core::dense::Dense2D;
 use sparsedist_core::error::SparsedistError;
 use sparsedist_core::partition::Partition;
 use sparsedist_core::schemes::SchemeRun;
-use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger};
+use sparsedist_multicomputer::{Env, Multicomputer, PackBuffer, Phase, PhaseLedger, RankTask};
 
 /// `y = A·x` for a CRS array.
 ///
@@ -71,6 +71,178 @@ pub fn dense_spmv(a: &Dense2D, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// What every distributed SpMV rank task reads, threaded through
+/// [`Multicomputer::run_tasks_with_ledgers`]'s context parameter.
+struct SpmvCtx<'a> {
+    run: &'a SchemeRun,
+    part: &'a dyn Partition,
+    x: &'a [f64],
+}
+
+/// Add `v·x[gc]` into `y[row(gr)]` for every local nonzero of `local`
+/// (mapped to global `(gr, gc)` under `part`), returning the flop count.
+fn local_products(
+    local: &LocalCompressed,
+    part: &dyn Partition,
+    me: usize,
+    x: &[f64],
+    y: &mut [f64],
+    row: impl Fn(usize, usize) -> usize,
+) -> u64 {
+    let mut flops = 0;
+    let mut add = |lr: usize, lc: usize, v: f64| {
+        let (gr, gc) = part.to_global(me, lr, lc);
+        y[row(lr, gr)] += v * x[gc];
+        flops += 2;
+    };
+    match local {
+        LocalCompressed::Crs(a) => a.iter().for_each(|(lr, lc, v)| add(lr, lc, v)),
+        LocalCompressed::Ccs(a) => a.iter().for_each(|(lr, lc, v)| add(lr, lc, v)),
+    }
+    flops
+}
+
+/// One rank of [`distributed_spmv_ledgers`]: local partial, reduce at
+/// rank 0, broadcast back.
+fn spmv_task<'e>(
+    ctx: &'e SpmvCtx<'_>,
+    env: &'e mut Env,
+) -> RankTask<'e, Result<Vec<f64>, SparsedistError>> {
+    Box::pin(async move {
+        let SpmvCtx { run, part, x } = *ctx;
+        let grows = part.global_shape().0;
+        let me = env.rank();
+        // Local partial: iterate the local compressed array, map to global.
+        let partial: Vec<f64> = env.phase(Phase::Compute, |env| {
+            let mut y = vec![0.0; grows];
+            let flops = local_products(&run.locals[me], part, me, x, &mut y, |_, gr| gr);
+            env.charge_ops(flops);
+            y
+        });
+
+        // Reduce at rank 0.
+        let mut buf = PackBuffer::with_capacity(grows);
+        buf.push_f64_slice(&partial);
+        env.phase(Phase::Send, |env| env.send(0, buf))?;
+        if me == 0 {
+            let mut y = vec![0.0; grows];
+            for src in 0..env.nprocs() {
+                let msg = env.recv_async(src).await?;
+                let mut cursor = msg.payload.cursor();
+                for slot in y.iter_mut() {
+                    *slot += cursor.try_read_f64()?;
+                }
+            }
+            env.charge_ops((grows * env.nprocs()) as u64);
+
+            // Broadcast the result back.
+            env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
+                for dst in 0..env.nprocs() {
+                    let mut b = PackBuffer::with_capacity(grows);
+                    b.push_f64_slice(&y);
+                    env.send(dst, b)?;
+                }
+                Ok(())
+            })?;
+        }
+        let msg = env.recv_async(0).await?;
+        Ok(msg.payload.cursor().try_read_f64_vec(grows)?)
+    })
+}
+
+/// Write the rows rank `src` holds under `part` from `payload` into their
+/// global slots of `out`; returns the number of rows placed.
+fn place_rows(
+    payload: &PackBuffer,
+    part: &dyn Partition,
+    src: usize,
+    out: &mut [f64],
+) -> Result<u64, SparsedistError> {
+    let mut cursor = payload.cursor();
+    let (src_rows, _) = part.local_shape(src);
+    for lr in 0..src_rows {
+        let (gr, _) = part.to_global(src, lr, 0);
+        out[gr] = cursor.try_read_f64()?;
+    }
+    Ok(src_rows as u64)
+}
+
+/// One rank of [`distributed_spmv_rowwise_ledgers`]: allgather the
+/// conformal slices of `x`, compute the owned rows, assemble at rank 0.
+fn spmv_rowwise_task<'e>(
+    ctx: &'e SpmvCtx<'_>,
+    env: &'e mut Env,
+) -> RankTask<'e, Result<Vec<f64>, SparsedistError>> {
+    Box::pin(async move {
+        let SpmvCtx { run, part, x } = *ctx;
+        let (grows, gcols) = part.global_shape();
+        let me = env.rank();
+        let p = env.nprocs();
+        let (lrows, _) = part.local_shape(me);
+
+        // My conformal slice of x: entries at my global row indices.
+        let my_slice: Vec<f64> = env.phase(Phase::Pack, |env| {
+            let slice: Vec<f64> = (0..lrows)
+                .map(|lr| x[part.to_global(me, lr, 0).0])
+                .collect();
+            env.charge_ops(lrows as u64);
+            slice
+        });
+
+        // Allgather the slices.
+        let mut buf = PackBuffer::with_capacity(my_slice.len());
+        buf.push_f64_slice(&my_slice);
+        env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
+            for dst in 0..p {
+                env.send(dst, buf.clone())?;
+            }
+            Ok(())
+        })?;
+        let mut x_full = vec![0.0; gcols];
+        let prev = env.begin_phase(Phase::Unpack);
+        let unpacked = 'recv: {
+            let mut ops = 0u64;
+            for src in 0..p {
+                let msg = match env.recv_async(src).await {
+                    Ok(msg) => msg,
+                    Err(e) => break 'recv Err(e.into()),
+                };
+                match place_rows(&msg.payload, part, src, &mut x_full) {
+                    Ok(n) => ops += n,
+                    Err(e) => break 'recv Err(e),
+                }
+            }
+            env.charge_ops(ops);
+            Ok(())
+        };
+        env.end_phase(prev);
+        unpacked?;
+
+        // Compute exactly my rows of y.
+        let y_mine: Vec<f64> = env.phase(Phase::Compute, |env| {
+            let mut y = vec![0.0; lrows];
+            let flops = local_products(&run.locals[me], part, me, &x_full, &mut y, |lr, _| lr);
+            env.charge_ops(flops);
+            y
+        });
+
+        // Assemble at rank 0 (no reduction — pure placement).
+        let mut out = PackBuffer::with_capacity(y_mine.len());
+        out.push_f64_slice(&y_mine);
+        env.phase(Phase::Send, |env| env.send(0, out))?;
+        if me != 0 {
+            return Ok(Vec::new());
+        }
+        let mut y = vec![0.0; grows];
+        for src in 0..p {
+            let msg = env.recv_async(src).await?;
+            place_rows(&msg.payload, part, src, &mut y)?;
+        }
+        env.charge_ops(grows as u64);
+        Ok(y)
+    })
+}
+
 /// `y = A·x` over the distributed local arrays left by a scheme run.
 ///
 /// Each processor computes the partial products of its own nonzeros
@@ -107,7 +279,7 @@ pub fn distributed_spmv_ledgers(
     part: &dyn Partition,
     x: &[f64],
 ) -> Result<(Vec<f64>, Vec<PhaseLedger>), SparsedistError> {
-    let (grows, gcols) = part.global_shape();
+    let gcols = part.global_shape().1;
     assert_eq!(
         x.len(),
         gcols,
@@ -120,65 +292,8 @@ pub fn distributed_spmv_ledgers(
         "machine size != run size"
     );
 
-    let (results, ledgers) = machine.run_with_ledgers(|env| -> Result<Vec<f64>, SparsedistError> {
-        let me = env.rank();
-        // Local partial: iterate the local compressed array, map to global.
-        let partial: Vec<f64> = env.phase(Phase::Compute, |env| {
-            let mut y = vec![0.0; grows];
-            let mut flops: u64 = 0;
-            match &run.locals[me] {
-                LocalCompressed::Crs(a) => {
-                    for (lr, lc, v) in a.iter() {
-                        let (gr, gc) = part.to_global(me, lr, lc);
-                        y[gr] += v * x[gc];
-                        flops += 2;
-                    }
-                }
-                LocalCompressed::Ccs(a) => {
-                    for (lr, lc, v) in a.iter() {
-                        let (gr, gc) = part.to_global(me, lr, lc);
-                        y[gr] += v * x[gc];
-                        flops += 2;
-                    }
-                }
-            }
-            env.charge_ops(flops);
-            y
-        });
-
-        // Reduce at rank 0.
-        let mut buf = PackBuffer::with_capacity(grows);
-        buf.push_f64_slice(&partial);
-        env.phase(Phase::Send, |env| env.send(0, buf))?;
-        let reduced = if me == 0 {
-            let mut y = vec![0.0; grows];
-            for src in 0..env.nprocs() {
-                let msg = env.recv(src)?;
-                let mut cursor = msg.payload.cursor();
-                for slot in y.iter_mut() {
-                    *slot += cursor.try_read_f64()?;
-                }
-            }
-            env.charge_ops((grows * env.nprocs()) as u64);
-            y
-        } else {
-            Vec::new()
-        };
-
-        // Broadcast the result back.
-        if me == 0 {
-            env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
-                for dst in 0..env.nprocs() {
-                    let mut b = PackBuffer::with_capacity(grows);
-                    b.push_f64_slice(&reduced);
-                    env.send(dst, b)?;
-                }
-                Ok(())
-            })?;
-        }
-        let msg = env.recv(0)?;
-        Ok(msg.payload.cursor().try_read_f64_vec(grows)?)
-    });
+    let ctx = SpmvCtx { run, part, x };
+    let (results, ledgers) = machine.run_tasks_with_ledgers(&ctx, |ctx, env| spmv_task(ctx, env));
     let mut ys = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok((ys.swap_remove(0), ledgers))
 }
@@ -242,91 +357,9 @@ pub fn distributed_spmv_rowwise_ledgers(
         "machine size != run size"
     );
 
-    let (results, ledgers) = machine.run_with_ledgers(|env| -> Result<Vec<f64>, SparsedistError> {
-        let me = env.rank();
-        let p = env.nprocs();
-        let (lrows, _) = part.local_shape(me);
-
-        // My conformal slice of x: entries at my global row indices.
-        let my_slice: Vec<f64> = env.phase(Phase::Pack, |env| {
-            let slice: Vec<f64> = (0..lrows)
-                .map(|lr| x[part.to_global(me, lr, 0).0])
-                .collect();
-            env.charge_ops(lrows as u64);
-            slice
-        });
-
-        // Allgather the slices.
-        let mut buf = PackBuffer::with_capacity(my_slice.len());
-        buf.push_f64_slice(&my_slice);
-        env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
-            for dst in 0..p {
-                env.send(dst, buf.clone())?;
-            }
-            Ok(())
-        })?;
-        let mut x_full = vec![0.0; gcols];
-        env.phase(Phase::Unpack, |env| -> Result<(), SparsedistError> {
-            let mut ops = 0u64;
-            for src in 0..p {
-                let msg = env.recv(src)?;
-                let mut cursor = msg.payload.cursor();
-                let (src_rows, _) = part.local_shape(src);
-                for lr in 0..src_rows {
-                    let (gr, _) = part.to_global(src, lr, 0);
-                    x_full[gr] = cursor.try_read_f64()?;
-                    ops += 1;
-                }
-            }
-            env.charge_ops(ops);
-            Ok(())
-        })?;
-
-        // Compute exactly my rows of y.
-        let y_mine: Vec<f64> = env.phase(Phase::Compute, |env| {
-            let mut y = vec![0.0; lrows];
-            let mut flops = 0u64;
-            match &run.locals[me] {
-                LocalCompressed::Crs(a) => {
-                    for (lr, lc, v) in a.iter() {
-                        let (_, gc) = part.to_global(me, lr, lc);
-                        y[lr] += v * x_full[gc];
-                        flops += 2;
-                    }
-                }
-                LocalCompressed::Ccs(a) => {
-                    for (lr, lc, v) in a.iter() {
-                        let (_, gc) = part.to_global(me, lr, lc);
-                        y[lr] += v * x_full[gc];
-                        flops += 2;
-                    }
-                }
-            }
-            env.charge_ops(flops);
-            y
-        });
-
-        // Assemble at rank 0 (no reduction — pure placement).
-        let mut out = PackBuffer::with_capacity(y_mine.len());
-        out.push_f64_slice(&y_mine);
-        env.phase(Phase::Send, |env| env.send(0, out))?;
-        if me == 0 {
-            let mut y = vec![0.0; grows];
-            for src in 0..p {
-                let msg = env.recv(src)?;
-                let mut cursor = msg.payload.cursor();
-                let (src_rows, _) = part.local_shape(src);
-                for lr in 0..src_rows {
-                    let (gr, _) = part.to_global(src, lr, 0);
-                    y[gr] = cursor.try_read_f64()?;
-                }
-            }
-            env.charge_ops(grows as u64);
-            Ok(y)
-        } else {
-            Ok(Vec::new())
-        }
-    });
+    let ctx = SpmvCtx { run, part, x };
+    let (results, ledgers) =
+        machine.run_tasks_with_ledgers(&ctx, |ctx, env| spmv_rowwise_task(ctx, env));
     let mut ys = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok((ys.swap_remove(0), ledgers))
 }
