@@ -6,10 +6,11 @@
 //! the row index array (the paper's `CO` when CCS is in play). Values stay
 //! `vl`.
 
-use super::{validate_layout, CompressError};
+use super::{validate_layout, CompressError, CompressKind};
 use crate::dense::Dense2D;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
+use crate::scan::{PartScan, Streams};
 
 /// A sparse array in Compressed Column Storage.
 ///
@@ -30,29 +31,8 @@ impl Ccs {
     /// Compress a dense array column-by-column: 1 op per cell scanned plus
     /// 3 ops per nonzero, the paper's `(1 + 3s)·cells`.
     pub fn from_dense(a: &Dense2D, ops: &mut OpCounter) -> Ccs {
-        let mut cp = Vec::with_capacity(a.cols() + 1);
-        let mut ri = Vec::new();
-        let mut vl = Vec::new();
-        cp.push(0);
-        for c in 0..a.cols() {
-            for r in 0..a.rows() {
-                ops.tick();
-                let v = a.get(r, c);
-                if v != 0.0 {
-                    ri.push(r);
-                    vl.push(v);
-                    ops.add(3);
-                }
-            }
-            cp.push(ri.len());
-        }
-        Ccs {
-            rows: a.rows(),
-            cols: a.cols(),
-            cp,
-            ri,
-            vl,
-        }
+        let s = PartScan::whole(a.rows(), a.cols()).compress(a, CompressKind::Ccs, ops);
+        Ccs::from_streams(a.rows(), a.cols(), s)
     }
 
     /// Compress one part of a partitioned global array straight from the
@@ -64,31 +44,19 @@ impl Ccs {
         pid: usize,
         ops: &mut OpCounter,
     ) -> Ccs {
-        let (lrows, lcols) = part.local_shape(pid);
-        let mut cp = Vec::with_capacity(lcols + 1);
-        let mut ri = Vec::new();
-        let mut vl = Vec::new();
-        cp.push(0);
-        for lc in 0..lcols {
-            for lr in 0..lrows {
-                ops.tick();
-                let (gr, gc) = part.to_global(pid, lr, lc);
-                let v = global.get(gr, gc);
-                if v != 0.0 {
-                    ri.push(gr);
-                    vl.push(v);
-                    ops.add(3);
-                }
-            }
-            cp.push(ri.len());
-        }
+        let (_, lcols) = part.local_shape(pid);
         let (grows, _) = part.global_shape();
+        let s = PartScan::of(part, pid).compress(global, CompressKind::Ccs, ops);
+        Ccs::from_streams(grows, lcols, s)
+    }
+
+    fn from_streams(rows: usize, cols: usize, s: Streams) -> Ccs {
         Ccs {
-            rows: grows,
-            cols: lcols,
-            cp,
-            ri,
-            vl,
+            rows,
+            cols,
+            cp: s.pointer,
+            ri: s.indices,
+            vl: s.values,
         }
     }
 

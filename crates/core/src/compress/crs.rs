@@ -1,9 +1,10 @@
 //! Compressed Row Storage (CRS).
 
-use super::{validate_layout, CompressError};
+use super::{validate_layout, CompressError, CompressKind};
 use crate::dense::Dense2D;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
+use crate::scan::{PartScan, Streams};
 
 /// A sparse array in Compressed Row Storage.
 ///
@@ -29,28 +30,8 @@ impl Crs {
     /// Compress a dense array, counting 1 op per cell scanned plus 3 ops
     /// per nonzero emitted — the paper's `(1 + 3s)·cells` compression cost.
     pub fn from_dense(a: &Dense2D, ops: &mut OpCounter) -> Crs {
-        let mut ro = Vec::with_capacity(a.rows() + 1);
-        let mut co = Vec::new();
-        let mut vl = Vec::new();
-        ro.push(0);
-        for r in 0..a.rows() {
-            for (c, &v) in a.row(r).iter().enumerate() {
-                ops.tick();
-                if v != 0.0 {
-                    co.push(c);
-                    vl.push(v);
-                    ops.add(3);
-                }
-            }
-            ro.push(co.len());
-        }
-        Crs {
-            rows: a.rows(),
-            cols: a.cols(),
-            ro,
-            co,
-            vl,
-        }
+        let s = PartScan::whole(a.rows(), a.cols()).compress(a, CompressKind::Crs, ops);
+        Crs::from_streams(a.rows(), a.cols(), s)
     }
 
     /// Compress one part of a partitioned global array directly from the
@@ -64,31 +45,19 @@ impl Crs {
         pid: usize,
         ops: &mut OpCounter,
     ) -> Crs {
-        let (lrows, lcols) = part.local_shape(pid);
-        let mut ro = Vec::with_capacity(lrows + 1);
-        let mut co = Vec::new();
-        let mut vl = Vec::new();
-        ro.push(0);
-        for lr in 0..lrows {
-            for lc in 0..lcols {
-                ops.tick();
-                let (gr, gc) = part.to_global(pid, lr, lc);
-                let v = global.get(gr, gc);
-                if v != 0.0 {
-                    co.push(gc);
-                    vl.push(v);
-                    ops.add(3);
-                }
-            }
-            ro.push(co.len());
-        }
+        let (lrows, _) = part.local_shape(pid);
         let (_, gcols) = part.global_shape();
+        let s = PartScan::of(part, pid).compress(global, CompressKind::Crs, ops);
+        Crs::from_streams(lrows, gcols, s)
+    }
+
+    fn from_streams(rows: usize, cols: usize, s: Streams) -> Crs {
         Crs {
-            rows: lrows,
-            cols: gcols,
-            ro,
-            co,
-            vl,
+            rows,
+            cols,
+            ro: s.pointer,
+            co: s.indices,
+            vl: s.values,
         }
     }
 

@@ -19,6 +19,7 @@ use crate::convert::IndexConverter;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
+use crate::scan::PartScan;
 use crate::wire::{self, WireFormat, WirePolicy};
 use sparsedist_multicomputer::pack::PackBuffer;
 
@@ -71,41 +72,12 @@ pub fn encode_part_into(
     policy: &WirePolicy,
     ops: &mut OpCounter,
 ) {
-    let (lrows, lcols) = part.local_shape(pid);
-    let (outer, inner) = match kind {
-        CompressKind::Crs => (lrows, lcols),
-        CompressKind::Ccs => (lcols, lrows),
-    };
     let (grows, gcols) = part.global_shape();
-    let mut pointer = Vec::with_capacity(outer + 1);
-    pointer.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for o in 0..outer {
-        for i in 0..inner {
-            ops.tick();
-            let (lr, lc) = match kind {
-                CompressKind::Crs => (o, i),
-                CompressKind::Ccs => (i, o),
-            };
-            let (gr, gc) = part.to_global(pid, lr, lc);
-            let v = global.get(gr, gc);
-            if v != 0.0 {
-                let travelling = match kind {
-                    CompressKind::Crs => gc,
-                    CompressKind::Ccs => gr,
-                };
-                indices.push(travelling);
-                values.push(v);
-                ops.add(3);
-            }
-        }
-        pointer.push(indices.len());
-    }
+    let s = PartScan::of(part, pid).compress(global, kind, ops);
     let codec = wire::codec_for(policy.format);
-    let desc = codec.plan(grows.max(gcols), &pointer, &indices, &values, policy);
+    let desc = codec.plan(grows.max(gcols), &s.pointer, &s.indices, &s.values, policy);
     codec.begin_message(buf, desc);
-    codec.encode_pairs(buf, &pointer, &indices, &values, desc);
+    codec.encode_pairs(buf, &s.pointer, &s.indices, &s.values, desc);
 }
 
 /// Decode a received special buffer (v1 layout) into a compressed local

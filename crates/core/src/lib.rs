@@ -80,6 +80,7 @@ pub mod gather;
 pub mod opcount;
 pub mod partition;
 pub mod redistribute;
+mod scan;
 pub mod schemes;
 pub mod wire;
 

@@ -28,6 +28,7 @@ use crate::dense::Dense2D;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
+use crate::scan::PartScan;
 use crate::wire::{CodecChoice, WireFormat};
 use sparsedist_multicomputer::{Multicomputer, Phase, PhaseLedger, VirtualTime};
 use std::fmt;
@@ -363,11 +364,7 @@ impl SchemeRun {
         let (grows, gcols) = part.global_shape();
         let mut out = Dense2D::zeros(grows, gcols);
         for (pid, local) in self.locals.iter().enumerate() {
-            let dense = local.to_dense();
-            for (lr, lc, v) in dense.iter_nonzero() {
-                let (gr, gc) = part.to_global(pid, lr, lc);
-                out.set(gr, gc, v);
-            }
+            PartScan::of(part, pid).scatter(local, &mut out);
         }
         out
     }

@@ -20,6 +20,7 @@ use crate::dense::Dense2D;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
+use crate::scan::PartScan;
 use crate::schemes::pipeline::{recv_part, send_part};
 use crate::schemes::{map_parts_counted, SchemeConfig};
 use crate::wire::{self, WirePolicy};
@@ -83,33 +84,14 @@ fn encode_stripe(
     policy: &WirePolicy,
     ops: &mut OpCounter,
 ) {
-    let (lrows, lcols) = part.local_shape(pid);
     let (_, gcols) = part.global_shape();
-    let mut pointer = Vec::with_capacity(lrows / nsources + 2);
-    pointer.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for lr in 0..lrows {
-        let (gr, _) = part.to_global(pid, lr, 0);
-        if gr % nsources != stripe {
-            continue;
-        }
-        for lc in 0..lcols {
-            ops.tick();
-            let (gr2, gc) = part.to_global(pid, lr, lc);
-            let v = global.get(gr2, gc);
-            if v != 0.0 {
-                indices.push(gc);
-                values.push(v);
-                ops.add(3);
-            }
-        }
-        pointer.push(indices.len());
-    }
+    let s = PartScan::of(part, pid)
+        .keep_rows(|gr| gr % nsources == stripe)
+        .compress(global, CompressKind::Crs, ops);
     let codec = wire::codec_for(policy.format);
-    let desc = codec.plan(gcols, &pointer, &indices, &values, policy);
+    let desc = codec.plan(gcols, &s.pointer, &s.indices, &s.values, policy);
     codec.begin_message(buf, desc);
-    codec.encode_pairs(buf, &pointer, &indices, &values, desc);
+    codec.encode_pairs(buf, &s.pointer, &s.indices, &s.values, desc);
 }
 
 /// Per-run state for one multi-source rank task, threaded through the
