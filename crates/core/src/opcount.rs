@@ -4,8 +4,10 @@
 //! array element (a memory access, an add, a subtract, …). Rather than
 //! charging the *closed forms* to the simulated machine — which would make
 //! the reproduced tables a tautology — the hot loops in [`crate::compress`],
-//! [`crate::encode`] and the scheme drivers increment an [`OpCounter`] as
-//! they execute, and the driver charges whatever was counted. Unit tests in
+//! [`crate::encode`] and the scheme drivers count into an [`OpCounter`] as
+//! they execute, and the driver charges whatever was counted. (The dense
+//! cell scans count once per part: the cells they visited plus three per
+//! nonzero they actually emitted.) Unit tests in
 //! [`crate::cost`] then verify that the counted totals match the paper's
 //! closed forms, which is a real check on both the code and the formulas.
 

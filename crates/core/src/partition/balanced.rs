@@ -16,7 +16,7 @@
 //! Both implement [`Partition`], so every scheme, the redistribution and
 //! the gather paths work on them unchanged.
 
-use super::Partition;
+use super::{AxisMap, Partition};
 use crate::dense::Dense2D;
 
 /// A row partition driven by the array's nonzero structure.
@@ -149,6 +149,10 @@ impl Partition for BalancedRows {
 
     fn to_global(&self, part: usize, lr: usize, lc: usize) -> (usize, usize) {
         (self.rows_of[part][lr], lc)
+    }
+
+    fn col_map(&self, _part: usize) -> AxisMap {
+        AxisMap::Range(0..self.cols)
     }
 
     fn splits_rows(&self) -> bool {

@@ -1,6 +1,6 @@
 //! The paper's three block partition methods: row, column and 2-D mesh.
 
-use super::{block_extent, block_start, ceil_div, Partition};
+use super::{block_extent, block_range, block_start, ceil_div, AxisMap, Partition};
 
 /// Row partition `(Block, *)`: processor `i` owns the contiguous row band
 /// `[i·⌈m/p⌉, (i+1)·⌈m/p⌉)` and every column (Figure 2 of the paper).
@@ -57,6 +57,14 @@ impl Partition for RowBlock {
 
     fn to_global(&self, part: usize, lr: usize, lc: usize) -> (usize, usize) {
         (block_start(self.rows, self.p, part) + lr, lc)
+    }
+
+    fn row_map(&self, part: usize) -> AxisMap {
+        block_range(self.rows, self.p, part)
+    }
+
+    fn col_map(&self, _part: usize) -> AxisMap {
+        AxisMap::Range(0..self.cols)
     }
 
     fn splits_rows(&self) -> bool {
@@ -135,6 +143,14 @@ impl Partition for ColBlock {
 
     fn to_global(&self, part: usize, lr: usize, lc: usize) -> (usize, usize) {
         (lr, block_start(self.cols, self.p, part) + lc)
+    }
+
+    fn row_map(&self, _part: usize) -> AxisMap {
+        AxisMap::Range(0..self.rows)
+    }
+
+    fn col_map(&self, part: usize) -> AxisMap {
+        block_range(self.cols, self.p, part)
     }
 
     fn splits_rows(&self) -> bool {
@@ -232,6 +248,14 @@ impl Partition for Mesh2D {
             block_start(self.rows, self.pr, i) + lr,
             block_start(self.cols, self.pc, j) + lc,
         )
+    }
+
+    fn row_map(&self, part: usize) -> AxisMap {
+        block_range(self.rows, self.pr, self.grid_coords(part).0)
+    }
+
+    fn col_map(&self, part: usize) -> AxisMap {
+        block_range(self.cols, self.pc, self.grid_coords(part).1)
     }
 
     fn splits_rows(&self) -> bool {

@@ -9,7 +9,7 @@
 //! back to the general [`Partition::row_to_local`] / `col_to_local` mapping
 //! at the same 1-op-per-index charge.
 
-use super::{ceil_div, Partition};
+use super::{ceil_div, AxisMap, Partition};
 
 /// Row-cyclic partition: global row `r` belongs to processor `r mod p`,
 /// local row `r div p`.
@@ -68,6 +68,10 @@ impl Partition for RowCyclic {
 
     fn to_global(&self, part: usize, lr: usize, lc: usize) -> (usize, usize) {
         (lr * self.p + part, lc)
+    }
+
+    fn col_map(&self, _part: usize) -> AxisMap {
+        AxisMap::Range(0..self.cols)
     }
 
     fn splits_rows(&self) -> bool {
@@ -143,6 +147,10 @@ impl Partition for ColCyclic {
 
     fn to_global(&self, part: usize, lr: usize, lc: usize) -> (usize, usize) {
         (lr, lc * self.p + part)
+    }
+
+    fn row_map(&self, _part: usize) -> AxisMap {
+        AxisMap::Range(0..self.rows)
     }
 
     fn splits_rows(&self) -> bool {
