@@ -7,10 +7,16 @@
 //! values therefore costs exactly one byte — the common case for the
 //! dense-run deltas the v3 codec feeds through here.
 //!
-//! The reader validates the width byte and bounds every payload read, so
-//! truncated or corrupt streams surface as [`UnpackError`]s, never panics
-//! or unbounded allocations: a stream of `n` values needs at least
-//! `ceil(n / BLOCK)` bytes, which caps `n` before any allocation.
+//! Values arrive and leave as iterators, so an encoder prices a stream
+//! with [`packed_size`] and writes it with [`write_packed`] straight from
+//! the data it derives the values from, and a decoder walks them with
+//! [`PackedValues`]; only one block is ever staged, on the stack.
+//!
+//! [`take_packed`] validates the width bytes and bounds every payload
+//! read before anything is decoded, so truncated or corrupt streams
+//! surface as [`UnpackError`]s, never panics or unbounded allocations: a
+//! stream of `n` values needs at least `ceil(n / BLOCK)` bytes, which
+//! caps `n` before the caller allocates for it.
 
 use sparsedist_multicomputer::pack::{UnpackCursor, UnpackError};
 
@@ -22,72 +28,75 @@ pub fn bits_for(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
-/// Bytes [`write_packed`] would append for `vals`.
-pub fn packed_size(vals: &[u64]) -> usize {
-    vals.chunks(BLOCK)
-        .map(|b| {
-            let w = b.iter().copied().map(bits_for).max().unwrap_or(0) as usize;
-            1 + (b.len() * w).div_ceil(8)
-        })
-        .sum()
+/// Bytes [`write_packed`] would write for `vals`.
+pub fn packed_size(vals: impl IntoIterator<Item = u64>) -> usize {
+    let mut blocks = Blocks::new(vals);
+    let mut total = 0;
+    // The widest value of a block sets the same top bit as their union.
+    while let Some((len, union)) = blocks.fill() {
+        total += 1 + (len * bits_for(union) as usize).div_ceil(8);
+    }
+    total
 }
 
-/// Append the packed encoding of `vals` to `out`.
-pub fn write_packed(out: &mut Vec<u8>, vals: &[u64]) {
-    for b in vals.chunks(BLOCK) {
-        let w = b.iter().copied().map(bits_for).max().unwrap_or(0);
-        out.push(w as u8);
-        write_bits(out, b, w);
-    }
-}
-
-/// Append `vals` packed at a fixed `width` bits each, LSB-first (no block
-/// structure, no width byte — the caller records the width).
-pub fn write_bits(out: &mut Vec<u8>, vals: &[u64], width: u32) {
-    if width == 0 {
-        return;
-    }
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
-    for &v in vals {
-        acc |= (v as u128) << nbits;
-        nbits += width;
-        while nbits >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            nbits -= 8;
+/// Write the packed encoding of `vals` to the front of `out` (which must
+/// hold at least [`packed_size`] bytes) and return the bytes written.
+pub fn write_packed(out: &mut [u8], vals: impl IntoIterator<Item = u64>) -> usize {
+    let mut blocks = Blocks::new(vals);
+    let mut at = 0;
+    while let Some((len, union)) = blocks.fill() {
+        let w = bits_for(union);
+        out[at] = w as u8;
+        at += 1;
+        if w == 0 {
+            continue;
+        }
+        let mut acc: u128 = 0;
+        let mut nbits: u32 = 0;
+        for &v in &blocks.block[..len] {
+            acc |= (v as u128) << nbits;
+            nbits += w;
+            while nbits >= 8 {
+                out[at] = acc as u8;
+                at += 1;
+                acc >>= 8;
+                nbits -= 8;
+            }
+        }
+        if nbits > 0 {
+            out[at] = acc as u8;
+            at += 1;
         }
     }
-    if nbits > 0 {
-        out.push(acc as u8);
-    }
+    at
 }
 
-/// Decode `n` values packed at a fixed `width` from `bytes` (which must
-/// hold at least `ceil(n·width / 8)` bytes; missing bytes read as zero).
-pub fn read_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
-    if width == 0 {
-        return vec![0; n];
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut iter = bytes.iter();
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    for _ in 0..n {
-        while nbits < width {
-            acc |= (iter.next().copied().unwrap_or(0) as u128) << nbits;
-            nbits += 8;
+/// A value iterator cut into [`BLOCK`]-sized blocks staged on the stack.
+struct Blocks<I> {
+    vals: I,
+    block: [u64; BLOCK],
+}
+
+impl<I: Iterator<Item = u64>> Blocks<I> {
+    fn new(vals: impl IntoIterator<IntoIter = I>) -> Self {
+        Blocks {
+            vals: vals.into_iter(),
+            block: [0; BLOCK],
         }
-        out.push((acc as u64) & mask);
-        acc >>= width;
-        nbits -= width;
     }
-    out
+
+    /// Stage the next block; returns its length and the bitwise union of
+    /// its values, or `None` once the values are exhausted.
+    fn fill(&mut self) -> Option<(usize, u64)> {
+        let mut len = 0;
+        let mut union = 0;
+        for v in self.vals.by_ref().take(BLOCK) {
+            self.block[len] = v;
+            union |= v;
+            len += 1;
+        }
+        (len > 0).then_some((len, union))
+    }
 }
 
 fn oob(cursor: &UnpackCursor<'_>) -> UnpackError {
@@ -97,30 +106,94 @@ fn oob(cursor: &UnpackCursor<'_>) -> UnpackError {
     }
 }
 
-/// Read back `n` values written by [`write_packed`].
+/// Validate a stream of `n` values written by [`write_packed`] at the
+/// cursor, step past it, and return its bytes for [`PackedValues`].
 ///
 /// Fails with [`UnpackError`] on truncation, a width byte above 64, or a
 /// count `n` the remaining bytes cannot possibly hold.
-pub fn read_packed(cursor: &mut UnpackCursor<'_>, n: usize) -> Result<Vec<u64>, UnpackError> {
+pub fn take_packed<'a>(cursor: &mut UnpackCursor<'a>, n: usize) -> Result<&'a [u8], UnpackError> {
     // Every block costs at least its width byte: reject a count that
-    // outruns the buffer before allocating for it.
+    // outruns the buffer before walking it.
     if n.div_ceil(BLOCK) > cursor.remaining() {
         return Err(oob(cursor));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut start = cursor.clone();
     let mut left = n;
     while left > 0 {
         let len = left.min(BLOCK);
-        let w = cursor.try_read_raw(1)?[0] as u32;
+        let w = cursor.try_read_raw(1)?[0] as usize;
         if w > 64 {
             return Err(oob(cursor));
         }
-        let nbytes = (len * w as usize).div_ceil(8);
-        let bytes = cursor.try_read_raw(nbytes)?;
-        out.extend(read_bits(bytes, len, w));
+        cursor.try_read_raw((len * w).div_ceil(8))?;
         left -= len;
     }
-    Ok(out)
+    start.try_read_raw(cursor.position() - start.position())
+}
+
+/// The values of a stream already validated by [`take_packed`], decoded
+/// one at a time.
+pub struct PackedValues<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    left: usize,
+    block_left: usize,
+    width: u32,
+    acc: u128,
+    nbits: u32,
+}
+
+impl<'a> PackedValues<'a> {
+    /// Iterate the `n` values of `bytes` as returned by [`take_packed`].
+    pub fn new(bytes: &'a [u8], n: usize) -> Self {
+        PackedValues {
+            bytes,
+            at: 0,
+            left: n,
+            block_left: 0,
+            width: 0,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
+    /// The next stream byte; validated streams never run short, and a
+    /// short one reads as zeros rather than panicking.
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes.get(self.at).copied().unwrap_or(0);
+        self.at += 1;
+        b
+    }
+}
+
+impl Iterator for PackedValues<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        if self.block_left == 0 {
+            // Blocks are byte-aligned: a new one drops the last's padding.
+            self.width = u32::from(self.byte()).min(64);
+            self.block_left = self.left.min(BLOCK);
+            self.acc = 0;
+            self.nbits = 0;
+        }
+        self.left -= 1;
+        self.block_left -= 1;
+        while self.nbits < self.width {
+            self.acc |= u128::from(self.byte()) << self.nbits;
+            self.nbits += 8;
+        }
+        let v = match self.width {
+            64 => self.acc as u64,
+            w => self.acc as u64 & ((1u64 << w) - 1),
+        };
+        self.acc >>= self.width;
+        self.nbits -= self.width;
+        Some(v)
+    }
 }
 
 #[cfg(test)]
@@ -129,14 +202,17 @@ mod tests {
     use sparsedist_multicomputer::pack::PackBuffer;
 
     fn roundtrip(vals: &[u64]) {
-        let mut bytes = Vec::new();
-        write_packed(&mut bytes, vals);
-        assert_eq!(bytes.len(), packed_size(vals));
+        let size = packed_size(vals.iter().copied());
+        let mut bytes = vec![0u8; size];
+        assert_eq!(write_packed(&mut bytes, vals.iter().copied()), size);
         let mut buf = PackBuffer::new();
         buf.push_raw(&bytes);
         let mut c = buf.cursor();
-        assert_eq!(read_packed(&mut c, vals.len()).unwrap(), vals);
+        let stream = take_packed(&mut c, vals.len()).unwrap();
         assert!(c.is_exhausted());
+        assert_eq!(stream, bytes.as_slice());
+        let back: Vec<u64> = PackedValues::new(stream, vals.len()).collect();
+        assert_eq!(back, vals);
     }
 
     #[test]
@@ -152,28 +228,29 @@ mod tests {
 
     #[test]
     fn all_zero_blocks_cost_one_byte_each() {
-        assert_eq!(packed_size(&[0; 128]), 1);
-        assert_eq!(packed_size(&[0; 256]), 2);
+        assert_eq!(packed_size([0; 128]), 1);
+        assert_eq!(packed_size([0; 256]), 2);
         // A 7-bit block: 1 width byte + ceil(128·7/8) payload.
-        assert_eq!(packed_size(&[100; 128]), 1 + 112);
+        assert_eq!(packed_size([100; 128]), 1 + 112);
     }
 
     #[test]
     fn truncated_or_corrupt_streams_error_without_panicking() {
-        let mut bytes = Vec::new();
-        write_packed(&mut bytes, &(0..300u64).collect::<Vec<_>>());
+        let vals = 0..300u64;
+        let mut bytes = vec![0u8; packed_size(vals.clone())];
+        write_packed(&mut bytes, vals);
         for cut in [0, 1, 5, bytes.len() - 1] {
             let mut buf = PackBuffer::new();
             buf.push_raw(&bytes[..cut]);
-            assert!(read_packed(&mut buf.cursor(), 300).is_err(), "cut {cut}");
+            assert!(take_packed(&mut buf.cursor(), 300).is_err(), "cut {cut}");
         }
         // Width byte above 64.
         let mut buf = PackBuffer::new();
         buf.push_raw(&[65, 0, 0, 0]);
-        assert!(read_packed(&mut buf.cursor(), 1).is_err());
+        assert!(take_packed(&mut buf.cursor(), 1).is_err());
         // Count that cannot fit the remaining bytes is rejected up front.
         let mut buf = PackBuffer::new();
         buf.push_raw(&[0]);
-        assert!(read_packed(&mut buf.cursor(), usize::MAX).is_err());
+        assert!(take_packed(&mut buf.cursor(), usize::MAX).is_err());
     }
 }

@@ -40,13 +40,14 @@
 //! element count is identical under every `desc`, so all virtual-time
 //! phase totals are format-independent.
 
-use super::bitpack::{packed_size, read_packed, write_packed};
+use super::bitpack::{packed_size, take_packed, write_packed, PackedValues};
 use super::codec::{guard_count, Codec, CodecChoice, MsgHead, WirePolicy, V2_DELTA, V3_PACKED};
 use super::varint::{unzigzag, varint_len, zigzag, IndexRunReader, IndexRunWriter};
 use super::{take_header, UnpackedTriple, WireFormat, FLAG_DELTA, FLAG_MASK, MAGIC};
 use crate::compress::CompressError;
 use crate::error::SparsedistError;
 use sparsedist_multicomputer::pack::{PackBuffer, UnpackCursor};
+use std::cell::RefCell;
 
 /// Magic bytes opening every v3 message.
 pub const MAGIC_V3: [u8; 2] = [b'S', b'3'];
@@ -170,13 +171,17 @@ impl Codec for V3Packed {
             buf.push_f64_slice(values);
             return;
         }
-        let mut bytes = Vec::new();
-        for p in 0..8 {
-            let pb = plane_bytes(values, p);
-            let (plan, _) = plan_plane(&pb);
-            write_plane(&mut bytes, &pb, plan);
-        }
-        buf.push_chunk(&bytes, values.len() as u64);
+        let n = values.len();
+        with_planes(n, |planes| {
+            let plans = plan_planes(values, planes);
+            let total = plans.iter().map(|(_, cost)| cost).sum();
+            let out = buf.push_zeroed(total, n as u64);
+            let mut at = 0;
+            for ((plan, cost), plane) in plans.iter().zip(planes.chunks_exact(n)) {
+                write_plane(&mut out[at..at + cost], plane, plan);
+                at += cost;
+            }
+        });
     }
 
     fn decode_values(
@@ -192,19 +197,15 @@ impl Codec for V3Packed {
             guard_count(cursor, n, 8)?;
             return Ok(cursor.try_read_f64_vec(n)?);
         }
-        let mut planes = Vec::with_capacity(8);
-        for _ in 0..8 {
-            planes.push(decode_plane(cursor, n)?);
+        if n.checked_mul(8).is_none() {
+            return Err(codec_err("value planes overflow").into());
         }
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut b = [0u8; 8];
-            for (p, plane) in planes.iter().enumerate() {
-                b[p] = plane[i];
+        with_planes(n, |planes| {
+            for plane in planes.chunks_exact_mut(n) {
+                decode_plane(cursor, plane)?;
             }
-            out.push(f64::from_le_bytes(b));
-        }
-        Ok(out)
+            Ok(join_planes(planes, n))
+        })
     }
 
     fn encode_pairs(
@@ -268,11 +269,10 @@ fn encode_index_stream(buf: &mut PackBuffer, pointer: &[usize], indices: &[usize
             }
         }
         IDX_PACKED => {
-            let (firsts, within) = packed_streams(pointer, indices);
-            let mut bytes = Vec::new();
-            write_packed(&mut bytes, &firsts);
-            write_packed(&mut bytes, &within);
-            buf.push_chunk(&bytes, indices.len() as u64);
+            let size = packed_index_bytes(pointer, indices);
+            let out = buf.push_zeroed(size, indices.len() as u64);
+            let at = write_packed(out, firsts(pointer, indices));
+            write_packed(&mut out[at..], within(pointer, indices));
         }
         _ => buf.push_usize_slice(indices),
     }
@@ -306,28 +306,25 @@ fn decode_index_stream(
             Ok(indices)
         }
         IDX_PACKED => {
-            let nonempty = (0..nsegments)
-                .filter(|&s| pointer[s + 1] > pointer[s])
-                .count();
-            let firsts = read_packed(cursor, nonempty)?;
-            let within = read_packed(cursor, nnz - nonempty)?;
+            // Both streams are validated before any index is rebuilt, so
+            // a bad index can only be reported once the bytes are whole.
+            let nonempty = pointer.windows(2).filter(|w| w[0] < w[1]).count();
+            let mut firsts = PackedValues::new(take_packed(cursor, nonempty)?, nonempty);
+            let mut within =
+                PackedValues::new(take_packed(cursor, nnz - nonempty)?, nnz - nonempty);
             let mut indices = Vec::with_capacity(nnz);
-            let (mut fi, mut wi) = (0usize, 0usize);
             let mut prev_first = 0i64;
-            for seg in 0..nsegments {
-                let count = pointer[seg + 1] - pointer[seg];
-                if count == 0 {
+            for w in pointer.windows(2) {
+                if w[0] == w[1] {
                     continue;
                 }
-                prev_first = prev_first.wrapping_add(unzigzag(firsts[fi]));
-                fi += 1;
+                prev_first = prev_first.wrapping_add(unzigzag(firsts.next().unwrap_or_default()));
                 let first = usize::try_from(prev_first)
                     .map_err(|_| codec_err("negative index after zigzag delta"))?;
                 indices.push(first);
                 let mut prev = first;
-                for _ in 1..count {
-                    prev = prev.wrapping_add(within[wi] as usize).wrapping_add(1);
-                    wi += 1;
+                for d in within.by_ref().take(w[1] - w[0] - 1) {
+                    prev = prev.wrapping_add(d as usize).wrapping_add(1);
                     indices.push(prev);
                 }
             }
@@ -340,50 +337,102 @@ fn decode_index_stream(
     }
 }
 
-/// The two bit-packable streams behind [`IDX_PACKED`]: zigzag deltas of
-/// each non-empty segment's first index, and within-segment deltas minus
-/// one.
-fn packed_streams(pointer: &[usize], indices: &[usize]) -> (Vec<u64>, Vec<u64>) {
-    let mut firsts = Vec::new();
-    let mut within = Vec::new();
+/// The first bit-packable stream behind [`IDX_PACKED`]: zigzag deltas of
+/// each non-empty segment's first index.
+fn firsts<'a>(pointer: &'a [usize], indices: &'a [usize]) -> impl Iterator<Item = u64> + 'a {
     let mut prev_first = 0i64;
-    for seg in 0..pointer.len().saturating_sub(1) {
-        let (lo, hi) = (pointer[seg], pointer[seg + 1]);
-        if lo == hi {
-            continue;
-        }
-        let first = indices[lo] as i64;
-        firsts.push(zigzag(first - prev_first));
+    pointer.windows(2).filter(|w| w[0] < w[1]).map(move |w| {
+        let first = indices[w[0]] as i64;
+        let delta = zigzag(first - prev_first);
         prev_first = first;
-        for k in lo + 1..hi {
-            debug_assert!(indices[k] > indices[k - 1], "index run is not sorted");
-            within.push((indices[k] - indices[k - 1] - 1) as u64);
-        }
-    }
-    (firsts, within)
+        delta
+    })
 }
 
-/// One little-endian byte plane of the value stream.
-fn plane_bytes(values: &[f64], p: usize) -> Vec<u8> {
-    values.iter().map(|v| v.to_le_bytes()[p]).collect()
+/// The second bit-packable stream behind [`IDX_PACKED`]: within-segment
+/// deltas minus one.
+fn within<'a>(pointer: &'a [usize], indices: &'a [usize]) -> impl Iterator<Item = u64> + 'a {
+    pointer.windows(2).flat_map(move |w| {
+        indices[w[0]..w[1]].windows(2).map(|pair| {
+            debug_assert!(pair[1] > pair[0], "index run is not sorted");
+            (pair[1] - pair[0] - 1) as u64
+        })
+    })
 }
 
-/// The ascending dictionary of a plane, if it has at most 16 distinct
-/// bytes.
-fn dict_of(bytes: &[u8]) -> Option<Vec<u8>> {
-    let mut seen = [false; 256];
-    let mut dict = Vec::new();
-    for &b in bytes {
-        if !seen[b as usize] {
-            seen[b as usize] = true;
-            dict.push(b);
-            if dict.len() > 16 {
-                return None;
-            }
+thread_local! {
+    /// The eight byte planes of the message being encoded or decoded,
+    /// kept per thread so consecutive messages reuse one allocation.
+    static PLANES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's plane scratch, sized to 8 planes of `n`
+/// bytes: plane `p` is `planes[p·n..][..n]`.
+fn with_planes<R>(n: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    PLANES.with_borrow_mut(|planes| {
+        if planes.len() < 8 * n {
+            planes.resize(8 * n, 0);
+        }
+        f(&mut planes[..8 * n])
+    })
+}
+
+/// The little-endian word at `bytes[at..at + 8]`.
+fn word(bytes: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// Transpose the 8×8 byte matrix whose rows are the words of `x`: byte
+/// `j` of word `i` moves to byte `i` of word `j`. It is its own inverse.
+fn transpose8(mut x: [u64; 8]) -> [u64; 8] {
+    for (step, shift, mask) in [
+        (4, 32, 0x0000_0000_ffff_ffff_u64),
+        (2, 16, 0x0000_ffff_0000_ffff),
+        (1, 8, 0x00ff_00ff_00ff_00ff),
+    ] {
+        for i in (0..8).filter(|i| i & step == 0) {
+            let t = ((x[i] >> shift) ^ x[i + step]) & mask;
+            x[i] ^= t << shift;
+            x[i + step] ^= t;
         }
     }
-    dict.sort_unstable();
-    Some(dict)
+    x
+}
+
+/// Write little-endian byte `p` of every value into plane `p` of
+/// `planes` (see [`with_planes`]), eight values per transpose.
+fn split_planes(values: &[f64], planes: &mut [u8]) {
+    let n = values.len();
+    let whole = n - n % 8;
+    for (b, block) in values[..whole].chunks_exact(8).enumerate() {
+        let rows = transpose8(std::array::from_fn(|i| block[i].to_bits()));
+        for (p, row) in rows.iter().enumerate() {
+            planes[p * n + 8 * b..][..8].copy_from_slice(&row.to_le_bytes());
+        }
+    }
+    for (i, v) in values.iter().enumerate().skip(whole) {
+        for (p, byte) in v.to_le_bytes().into_iter().enumerate() {
+            planes[p * n + i] = byte;
+        }
+    }
+}
+
+/// Inverse of [`split_planes`]: reassemble the `n` values.
+fn join_planes(planes: &[u8], n: usize) -> Vec<f64> {
+    let whole = n - n % 8;
+    let mut out = Vec::with_capacity(n);
+    for at in (0..whole).step_by(8) {
+        let rows = transpose8(std::array::from_fn(|p| word(planes, p * n + at)));
+        out.extend(rows.map(f64::from_bits));
+    }
+    for i in whole..n {
+        out.push(f64::from_le_bytes(std::array::from_fn(|p| {
+            planes[p * n + i]
+        })));
+    }
+    out
 }
 
 /// Code width (bits) for a dictionary of `d` entries.
@@ -397,23 +446,103 @@ fn code_width(d: usize) -> u32 {
     }
 }
 
-/// Maximal equal-byte runs of a plane.
-fn runs_of(bytes: &[u8]) -> Vec<(u64, u8)> {
-    let mut runs: Vec<(u64, u8)> = Vec::new();
-    for &b in bytes {
-        match runs.last_mut() {
-            Some((len, last)) if *last == b => *len += 1,
-            _ => runs.push((1, b)),
+/// The low seven bits of every byte of a word.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// Multiplier that gathers bit `8j` of a word into bit `56 + j`.
+const GATHER: u64 = 0x0102_0408_1020_4080;
+
+/// Bit `j` is set iff `chunk[j]` (at most 64 bytes) differs from the
+/// byte before it — `prev` for `j = 0` — i.e. iff a new run opens there.
+/// Eight bytes are compared at a time, against themselves shifted back
+/// one byte.
+fn run_opens(chunk: &[u8], prev: u8) -> u64 {
+    let mut opens = 0;
+    let mut last = u64::from(prev) << 56;
+    let words = chunk.chunks_exact(8);
+    let tail = words.remainder();
+    for (k, w) in words.enumerate() {
+        let cur = word(w, 0);
+        let diff = cur ^ (cur << 8 | last >> 56);
+        last = cur;
+        // The top bit of each nonzero byte (adding 0x7f cannot carry out
+        // of a byte whose top bit is masked off), one bit per byte.
+        let tops = (((diff & LOW7) + LOW7) | diff) & !LOW7;
+        opens |= ((tops >> 7).wrapping_mul(GATHER) >> 56) << (8 * k);
+    }
+    let mut prev = (last >> 56) as u8;
+    for (j, &b) in tail.iter().enumerate() {
+        opens |= u64::from(b != prev) << (chunk.len() - tail.len() + j);
+        prev = b;
+    }
+    opens
+}
+
+/// [`run_opens`] of each 64-byte chunk of a plane, with the chunk's
+/// offset.
+fn chunk_opens(bytes: &[u8]) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let mut prev = bytes.first().copied().unwrap_or_default();
+    bytes.chunks(64).enumerate().map(move |(k, chunk)| {
+        let opens = run_opens(chunk, prev);
+        prev = chunk[chunk.len() - 1];
+        (64 * k, opens)
+    })
+}
+
+/// The run count and exact byte cost of the RLE encoding of a plane, or
+/// `None` once that cost is known to exceed `limit`.
+fn rle_census(bytes: &[u8], limit: usize) -> Option<(usize, usize)> {
+    let mut runs = usize::from(!bytes.is_empty());
+    // Bytes that run lengths add beyond one varint byte each.
+    let mut long = 0;
+    let mut start = 0;
+    for (base, opens) in chunk_opens(bytes) {
+        if opens == 0 {
+            continue;
+        }
+        runs += opens.count_ones() as usize;
+        // Only the first run a chunk closes can be 64 bytes or longer.
+        long += varint_len((base + opens.trailing_zeros() as usize - start) as u64) - 1;
+        start = base + 63 - opens.leading_zeros() as usize;
+        // An RLE plane costs at least its tag, a count byte and two
+        // bytes a run.
+        if 2 + 2 * runs + long > limit {
+            return None;
         }
     }
-    runs
+    if !bytes.is_empty() {
+        long += varint_len((bytes.len() - start) as u64) - 1;
+    }
+    let cost = 1 + varint_len(runs as u64) + 2 * runs + long;
+    (cost <= limit).then_some((runs, cost))
+}
+
+/// The distinct bytes of a plane as a 256-bit set, or `None` if there
+/// are more than 16.
+fn dict_census(bytes: &[u8]) -> Option<[u64; 4]> {
+    let mut seen = [false; 256];
+    for chunk in bytes.chunks(64) {
+        for &b in chunk {
+            seen[usize::from(b)] = true;
+        }
+        if seen.iter().filter(|&&s| s).count() > 16 {
+            return None;
+        }
+    }
+    let mut set = [0u64; 4];
+    for (b, _) in seen.iter().enumerate().filter(|(_, &s)| s) {
+        set[b / 64] |= 1 << (b % 64);
+    }
+    Some(set)
 }
 
 /// How a plane will be encoded, chosen by [`plan_plane`].
 enum PlanePlan {
     Raw,
-    Dict(Vec<u8>),
-    Rle(Vec<(u64, u8)>),
+    /// The plane's distinct bytes as a 256-bit set.
+    Dict([u64; 4]),
+    /// The plane's run count.
+    Rle(usize),
 }
 
 /// Pick the smallest encoding for a plane and return it with its exact
@@ -421,129 +550,218 @@ enum PlanePlan {
 /// so the choice — and therefore the stream — is deterministic.
 fn plan_plane(bytes: &[u8]) -> (PlanePlan, usize) {
     let n = bytes.len();
-    let mut best_cost = 1 + n;
-    let mut best = PlanePlan::Raw;
-    let runs = runs_of(bytes);
-    let rle_cost = 1
-        + varint_len(runs.len() as u64)
-        + runs
-            .iter()
-            .map(|&(len, _)| varint_len(len) + 1)
-            .sum::<usize>();
-    if rle_cost <= best_cost {
-        best_cost = rle_cost;
-        best = PlanePlan::Rle(runs);
+    let mut best = (PlanePlan::Raw, 1 + n);
+    if let Some((runs, cost)) = rle_census(bytes, best.1) {
+        best = (PlanePlan::Rle(runs), cost);
     }
-    if let Some(dict) = dict_of(bytes) {
-        let k = code_width(dict.len()) as usize;
-        let dict_cost = 2 + dict.len() + (n * k).div_ceil(8);
-        if dict_cost <= best_cost {
-            best_cost = dict_cost;
-            best = PlanePlan::Dict(dict);
+    if let Some(set) = dict_census(bytes) {
+        let d = set.iter().map(|w| w.count_ones() as usize).sum();
+        let cost = 2 + d + (n * code_width(d) as usize).div_ceil(8);
+        if cost <= best.1 {
+            best = (PlanePlan::Dict(set), cost);
         }
     }
-    (best, best_cost)
+    best
 }
 
-/// Append a LEB128 varint to a plain byte vector (the plane streams are
-/// assembled outside any [`PackBuffer`]).
-fn push_varint_vec(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Transpose `values` into `planes` and plan every plane.
+fn plan_planes(values: &[f64], planes: &mut [u8]) -> [(PlanePlan, usize); 8] {
+    split_planes(values, planes);
+    let n = values.len();
+    std::array::from_fn(|p| plan_plane(&planes[p * n..][..n]))
+}
+
+/// Write `v` as a LEB128 varint to the front of `out`; returns its length.
+fn put_varint(out: &mut [u8], mut v: u64) -> usize {
+    let mut at = 0;
+    while v >= 0x80 {
+        out[at] = (v & 0x7f) as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+        at += 1;
     }
+    out[at] = v as u8;
+    at + 1
 }
 
-/// Write one plane under its chosen plan.
-fn write_plane(out: &mut Vec<u8>, bytes: &[u8], plan: PlanePlan) {
-    match plan {
+/// Write one plane under its plan into `out`, which is exactly the plan's
+/// cost long.
+fn write_plane(out: &mut [u8], bytes: &[u8], plan: &PlanePlan) {
+    match *plan {
         PlanePlan::Raw => {
-            out.push(PLANE_RAW);
-            out.extend_from_slice(bytes);
+            out[0] = PLANE_RAW;
+            out[1..].copy_from_slice(bytes);
         }
-        PlanePlan::Dict(dict) => {
-            out.push(PLANE_DICT);
-            out.push(dict.len() as u8);
-            out.extend_from_slice(&dict);
-            let k = code_width(dict.len());
-            if k > 0 {
-                let mut table = [0u8; 256];
-                for (c, &b) in dict.iter().enumerate() {
-                    table[b as usize] = c as u8;
+        PlanePlan::Dict(seen) => {
+            // The ascending dictionary and each byte's code in it.
+            let mut table = [0u8; 256];
+            let mut d = 0;
+            out[0] = PLANE_DICT;
+            for (w, mut bits) in seen.into_iter().enumerate() {
+                while bits != 0 {
+                    let b = w * 64 + bits.trailing_zeros() as usize;
+                    out[2 + d] = b as u8;
+                    table[b] = d as u8;
+                    d += 1;
+                    bits &= bits - 1;
                 }
-                let codes: Vec<u64> = bytes.iter().map(|&b| table[b as usize] as u64).collect();
-                super::bitpack::write_bits(out, &codes, k);
+            }
+            out[1] = d as u8;
+            let out = &mut out[2 + d..];
+            let codes = bytes.iter().map(|&b| table[usize::from(b)]);
+            match code_width(d) {
+                0 => {}
+                1 => pack_codes::<1>(out, codes),
+                2 => pack_codes::<2>(out, codes),
+                3 => pack_codes::<3>(out, codes),
+                _ => pack_codes::<4>(out, codes),
             }
         }
         PlanePlan::Rle(runs) => {
-            out.push(PLANE_RLE);
-            push_varint_vec(out, runs.len() as u64);
-            for (len, b) in runs {
-                push_varint_vec(out, len);
-                out.push(b);
+            out[0] = PLANE_RLE;
+            let mut at = 1 + put_varint(&mut out[1..], runs as u64);
+            let mut start = 0;
+            for (base, mut opens) in chunk_opens(bytes) {
+                while opens != 0 {
+                    let pos = base + opens.trailing_zeros() as usize;
+                    let len = pos - start;
+                    if len < 0x80 {
+                        out[at] = len as u8;
+                        at += 1;
+                    } else {
+                        at += put_varint(&mut out[at..], len as u64);
+                    }
+                    out[at] = bytes[start];
+                    at += 1;
+                    start = pos;
+                    opens &= opens - 1;
+                }
             }
+            // RLE is never planned for an empty plane.
+            at += put_varint(&mut out[at..], (bytes.len() - start) as u64);
+            out[at] = bytes[start];
         }
     }
 }
 
-/// Read back one plane of `n` bytes.
-fn decode_plane(cursor: &mut UnpackCursor<'_>, n: usize) -> Result<Vec<u8>, SparsedistError> {
+/// Bit-pack `codes` at `K` bits each, LSB-first, into `out` (exactly
+/// `ceil(len·K / 8)` bytes): every eight codes fill `K` whole bytes.
+fn pack_codes<const K: usize>(out: &mut [u8], mut codes: impl Iterator<Item = u8>) {
+    let whole = out.len() / K * K;
+    let (full, tail) = out.split_at_mut(whole);
+    let mut pack = |n: usize| {
+        let mut acc = 0u32;
+        for (j, c) in codes.by_ref().take(n).enumerate() {
+            acc |= u32::from(c) << (j * K);
+        }
+        acc.to_le_bytes()
+    };
+    for dst in full.chunks_exact_mut(K) {
+        dst.copy_from_slice(&pack(8)[..K]);
+    }
+    let last = pack(8);
+    tail.copy_from_slice(&last[..tail.len()]);
+}
+
+/// Inverse of [`pack_codes`]: fill `out` with the dictionary entries its
+/// codes name, or fail on a code past the dictionary.
+fn unpack_codes<const K: usize>(
+    out: &mut [u8],
+    code_bytes: &[u8],
+    dict: &[u8],
+) -> Result<(), SparsedistError> {
+    let mask = (1u32 << K) - 1;
+    for (dst, src) in out.chunks_mut(8).zip(code_bytes.chunks(K)) {
+        let mut w = [0u8; 4];
+        // Whole groups take a fixed-size copy; only the last can be short.
+        if let Ok(whole) = <[u8; K]>::try_from(src) {
+            w[..K].copy_from_slice(&whole);
+        } else {
+            w[..src.len()].copy_from_slice(src);
+        }
+        let acc = u32::from_le_bytes(w);
+        for (j, byte) in dst.iter_mut().enumerate() {
+            let code = (acc >> (j * K)) & mask;
+            *byte = *dict
+                .get(code as usize)
+                .ok_or(codec_err("value-plane dictionary code out of range"))?;
+        }
+    }
+    Ok(())
+}
+
+/// Read back one plane into `out` (the plane's `n` bytes).
+fn decode_plane(cursor: &mut UnpackCursor<'_>, out: &mut [u8]) -> Result<(), SparsedistError> {
+    let n = out.len();
     let tag = cursor.try_read_raw(1)?[0];
     match tag {
         PLANE_RAW => {
             guard_count(cursor, n, 1)?;
-            Ok(cursor.try_read_raw(n)?.to_vec())
+            out.copy_from_slice(cursor.try_read_raw(n)?);
         }
         PLANE_DICT => {
             let d = cursor.try_read_raw(1)?[0] as usize;
             if !(1..=16).contains(&d) {
                 return Err(codec_err("value-plane dictionary size out of range").into());
             }
-            let dict = cursor.try_read_raw(d)?.to_vec();
+            let dict = cursor.try_read_raw(d)?;
             let k = code_width(d);
             let nbytes = n
                 .checked_mul(k as usize)
                 .ok_or(codec_err("value-plane code stream overflows"))?
                 .div_ceil(8);
             let code_bytes = cursor.try_read_raw(nbytes)?;
-            let codes = super::bitpack::read_bits(code_bytes, n, k);
-            let mut out = Vec::with_capacity(n);
-            for c in codes {
-                let c = c as usize;
-                if c >= d {
-                    return Err(codec_err("value-plane dictionary code out of range").into());
-                }
-                out.push(dict[c]);
+            if k == 0 {
+                out.fill(dict[0]);
+                return Ok(());
             }
-            Ok(out)
+            let unpack = match k {
+                1 => unpack_codes::<1>,
+                2 => unpack_codes::<2>,
+                3 => unpack_codes::<3>,
+                _ => unpack_codes::<4>,
+            };
+            unpack(out, code_bytes, dict)?;
         }
         PLANE_RLE => {
             let nruns = cursor.try_read_varint()? as usize;
             guard_count(cursor, nruns, 2)?;
-            let mut out = Vec::new();
+            let mut filled = 0;
             for _ in 0..nruns {
-                let len = cursor.try_read_varint()? as usize;
-                if len == 0 {
-                    return Err(codec_err("value-plane RLE run of length zero").into());
-                }
-                let b = cursor.try_read_raw(1)?[0];
-                if len > n - out.len() {
+                // Most runs are one length byte and the value byte; any
+                // other run, or a stream that ends early, reads field by
+                // field so errors name the same offsets.
+                let mut peek = cursor.clone();
+                let (len, b) = match peek.try_read_raw(2) {
+                    Ok(&[len @ 1..=0x7f, b]) => {
+                        *cursor = peek;
+                        (usize::from(len), b)
+                    }
+                    _ => {
+                        let len = cursor.try_read_varint()? as usize;
+                        if len == 0 {
+                            return Err(codec_err("value-plane RLE run of length zero").into());
+                        }
+                        (len, cursor.try_read_raw(1)?[0])
+                    }
+                };
+                if len > n - filled {
                     return Err(codec_err("value-plane RLE runs exceed the value count").into());
                 }
-                out.extend(std::iter::repeat_n(b, len));
+                // A short run is stored as one 16-byte write where it
+                // fits; the runs after it overwrite the excess.
+                match out.get_mut(filled..filled + 16) {
+                    Some(dst) if len <= 16 => dst.copy_from_slice(&[b; 16]),
+                    _ => out[filled..filled + len].fill(b),
+                }
+                filled += len;
             }
-            if out.len() != n {
+            if filled != n {
                 return Err(codec_err("value-plane RLE runs fall short of the value count").into());
             }
-            Ok(out)
         }
-        _ => Err(codec_err("unknown value-plane tag").into()),
+        _ => return Err(codec_err("unknown value-plane tag").into()),
     }
+    Ok(())
 }
 
 /// Exact byte cost of the [`IDX_DELTA`] encoding of the index stream.
@@ -562,6 +780,21 @@ fn delta_index_bytes(pointer: &[usize], indices: &[usize]) -> usize {
     total
 }
 
+/// Exact byte cost of the [`IDX_PACKED`] encoding of the index stream.
+fn packed_index_bytes(pointer: &[usize], indices: &[usize]) -> usize {
+    packed_size(firsts(pointer, indices)) + packed_size(within(pointer, indices))
+}
+
+/// Exact byte cost of the [`VAL_PLANES`] encoding of `values`.
+fn planes_bytes(values: &[f64]) -> usize {
+    with_planes(values.len(), |planes| {
+        plan_planes(values, planes)
+            .iter()
+            .map(|(_, cost)| cost)
+            .sum()
+    })
+}
+
 /// The `auto` negotiator: price every candidate encoding of each stream
 /// against the α-β model and keep the cheapest. A byte on the wire costs
 /// `t_data / 8` (the model charges `T_Data` per 8-byte element); encode
@@ -577,8 +810,7 @@ fn auto_desc(pointer: &[usize], indices: &[usize], values: &[f64], policy: &Wire
     let nnz = indices.len();
     let raw_bytes = 8 * nnz;
     let delta_bytes = delta_index_bytes(pointer, indices);
-    let (firsts, within) = packed_streams(pointer, indices);
-    let packed_bytes = packed_size(&firsts) + packed_size(&within);
+    let packed_bytes = packed_index_bytes(pointer, indices);
     let cheap_bytes = delta_bytes.min(raw_bytes);
     let packed_cost = packed_bytes as f64 * byte_t + (nnz as f64 / 4.0) * t_op;
     let idx = if packed_cost < cheap_bytes as f64 * byte_t {
@@ -590,9 +822,9 @@ fn auto_desc(pointer: &[usize], indices: &[usize], values: &[f64], policy: &Wire
     };
 
     let n = values.len();
-    let planes_bytes: usize = (0..8).map(|p| plan_plane(&plane_bytes(values, p)).1).sum();
-    let planes_cost = planes_bytes as f64 * byte_t + n as f64 * t_op;
-    let val = if n > 0 && planes_cost < (8 * n) as f64 * byte_t {
+    let val = if n > 0
+        && planes_bytes(values) as f64 * byte_t + n as f64 * t_op < (8 * n) as f64 * byte_t
+    {
         VAL_PLANES
     } else {
         0
@@ -822,7 +1054,7 @@ mod tests {
 
     #[test]
     fn plane_encodings_pick_the_exact_minimum() {
-        // Constant plane: RLE (3 bytes) beats dict (4) and raw (n+1).
+        // Constant plane: dict (3 bytes) beats RLE (4) and raw (n+1).
         let (_, cost) = plan_plane(&[7u8; 100]);
         assert_eq!(cost, 3);
         // Two alternating bytes: dict with 1-bit codes.
@@ -838,6 +1070,181 @@ mod tests {
         // Empty plane: raw tag only.
         let (_, cost) = plan_plane(&[]);
         assert_eq!(cost, 1);
+    }
+
+    /// A small deterministic generator for the randomized checks.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+    }
+
+    /// The encoding [`plan_plane`] + [`write_plane`] must produce, built
+    /// one byte at a time from explicit runs and a sorted dictionary.
+    fn reference_plane(bytes: &[u8]) -> Vec<u8> {
+        fn varint(out: &mut Vec<u8>, mut v: usize) {
+            while v >= 0x80 {
+                out.push((v & 0x7f) as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+        }
+        let mut runs: Vec<(usize, u8)> = Vec::new();
+        for &b in bytes {
+            match runs.last_mut() {
+                Some((len, last)) if *last == b => *len += 1,
+                _ => runs.push((1, b)),
+            }
+        }
+        let mut best = [&[PLANE_RAW][..], bytes].concat();
+        let mut rle = vec![PLANE_RLE];
+        varint(&mut rle, runs.len());
+        for &(len, b) in &runs {
+            varint(&mut rle, len);
+            rle.push(b);
+        }
+        if rle.len() <= best.len() {
+            best = rle;
+        }
+        let dict: std::collections::BTreeSet<u8> = bytes.iter().copied().collect();
+        if dict.len() <= 16 {
+            let dict: Vec<u8> = dict.into_iter().collect();
+            let k = code_width(dict.len()) as usize;
+            let mut out = vec![PLANE_DICT, dict.len() as u8];
+            out.extend_from_slice(&dict);
+            let mut codes = vec![0u8; (bytes.len() * k).div_ceil(8)];
+            for (i, b) in bytes.iter().enumerate() {
+                let code = dict.binary_search(b).unwrap();
+                for bit in 0..k {
+                    codes[(i * k + bit) / 8] |= ((code >> bit & 1) as u8) << ((i * k + bit) % 8);
+                }
+            }
+            out.extend_from_slice(&codes);
+            if out.len() <= best.len() {
+                best = out;
+            }
+        }
+        best
+    }
+
+    /// A random plane: noise, a few distinct bytes, or runs, at lengths
+    /// around the 8-byte word and 64-byte chunk boundaries.
+    fn random_plane(rng: &mut Lcg) -> Vec<u8> {
+        let n = match rng.below(8) {
+            0 | 1 => rng.below(20),
+            2 | 3 => 56 + rng.below(80),
+            4..=6 => rng.below(400),
+            _ => 16300 + rng.below(200),
+        };
+        let distinct = [1, 2, 3, 4, 5, 8, 9, 16, 17, 256][rng.below(10)] as u64;
+        let mut bytes = Vec::with_capacity(n);
+        while bytes.len() < n {
+            let len = match rng.below(3) {
+                0 => 1,
+                1 => 1 + rng.below(12),
+                _ => 1 + rng.below(300),
+            };
+            let b = (rng.next() % distinct) as u8;
+            bytes.extend(std::iter::repeat_n(b, len.min(n - bytes.len())));
+        }
+        bytes
+    }
+
+    #[test]
+    fn census_and_writer_match_a_per_byte_reference() {
+        let mut rng = Lcg(7);
+        for case in 0..2000 {
+            let bytes = random_plane(&mut rng);
+            let (plan, cost) = plan_plane(&bytes);
+            let mut out = vec![0u8; cost];
+            write_plane(&mut out, &bytes, &plan);
+            assert_eq!(out, reference_plane(&bytes), "case {case}: {bytes:?}");
+
+            let mut buf = PackBuffer::new();
+            buf.push_raw(&out);
+            let mut back = vec![0u8; bytes.len()];
+            let mut c = buf.cursor();
+            decode_plane(&mut c, &mut back).unwrap();
+            assert!(c.is_exhausted());
+            assert_eq!(back, bytes, "case {case}");
+        }
+    }
+
+    #[test]
+    fn planes_transpose_and_join_at_every_tail_length() {
+        for n in 0..=20 {
+            let values: Vec<f64> = (0..n as u64)
+                .map(|i| f64::from_bits(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+                .collect();
+            let mut planes = vec![0u8; 8 * n];
+            split_planes(&values, &mut planes);
+            for (i, v) in values.iter().enumerate() {
+                for (p, byte) in v.to_le_bytes().into_iter().enumerate() {
+                    assert_eq!(planes[p * n + i], byte, "n {n} value {i} plane {p}");
+                }
+            }
+            let back = join_planes(&planes, n);
+            assert_eq!(
+                back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// A random CRS-like part: sorted indices per segment, some segments
+    /// empty, values with a few repeated high bytes.
+    fn random_part(rng: &mut Lcg) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let mut pointer = vec![0];
+        let mut indices = Vec::new();
+        for _ in 0..40 {
+            let mut at = rng.below(50);
+            for _ in 0..rng.below(12) {
+                indices.push(at);
+                let gap = if rng.below(2) == 0 { 3 } else { 300 };
+                at += 1 + rng.below(gap);
+            }
+            pointer.push(indices.len());
+        }
+        let values = indices
+            .iter()
+            .map(|_| 1.0 + rng.below(1 << 20) as f64 / 1024.0)
+            .collect();
+        (pointer, indices, values)
+    }
+
+    #[test]
+    fn priced_bytes_equal_the_bytes_written() {
+        for (pointer, indices, values) in [fig7_triple(), random_part(&mut Lcg(3))] {
+            // Header and pointer run, common to every index codec.
+            let mut head = PackBuffer::new();
+            V3_PACKED.begin_message(&mut head, IDX_RAW);
+            super::super::push_monotone_run(&mut head, &pointer, FLAG_DELTA);
+            let priced = [
+                (IDX_RAW, 8 * indices.len()),
+                (IDX_DELTA, delta_index_bytes(&pointer, &indices)),
+                (IDX_PACKED, packed_index_bytes(&pointer, &indices)),
+            ];
+            for (desc, bytes) in priced {
+                let mut b = PackBuffer::new();
+                V3_PACKED.begin_message(&mut b, desc);
+                V3_PACKED.encode_indices(&mut b, &pointer, &indices, desc);
+                assert_eq!(b.byte_len() - head.byte_len(), bytes, "desc {desc}");
+            }
+            let mut b = PackBuffer::new();
+            V3_PACKED.encode_values(&mut b, &values, VAL_PLANES);
+            assert_eq!(b.byte_len(), planes_bytes(&values));
+            assert_eq!(b.elem_count(), values.len() as u64);
+        }
     }
 
     #[test]

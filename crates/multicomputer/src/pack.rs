@@ -158,6 +158,17 @@ impl PackBuffer {
         self.elems += elems;
     }
 
+    /// Append `len` zero bytes that represent `elems` logical elements and
+    /// return them to be filled in place — for encoders that know an
+    /// encoding's exact size before writing it, so it needs no staging
+    /// buffer.
+    pub fn push_zeroed(&mut self, len: usize, elems: u64) -> &mut [u8] {
+        let at = self.bytes.len();
+        self.bytes.resize(at + len, 0);
+        self.elems += elems;
+        &mut self.bytes[at..]
+    }
+
     /// Append a placeholder index element and return its byte offset for a
     /// later [`PackBuffer::patch_u64`]. The ED encoder uses this to write
     /// each `R_i` count before the row's `(C_ij, V_ij)` pairs are known
@@ -893,6 +904,15 @@ mod tests {
         assert_eq!(c.try_read_raw(3).unwrap(), &[b'S', b'2', 3]);
         assert_eq!(c.read_u64(), 5);
         assert!(c.try_read_raw(1).is_err());
+    }
+
+    #[test]
+    fn zeroed_appends_are_filled_in_place_and_credited() {
+        let mut b = PackBuffer::new();
+        b.push_raw(&[9]);
+        b.push_zeroed(3, 2).copy_from_slice(&[4, 5, 6]);
+        assert_eq!(b.as_bytes(), &[9, 4, 5, 6]);
+        assert_eq!(b.elem_count(), 2);
     }
 
     #[test]
