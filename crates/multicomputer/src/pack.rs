@@ -562,13 +562,12 @@ impl<'a> UnpackCursor<'a> {
 
     /// Fallible read of `n` raw framing bytes (headers, magics).
     pub fn try_read_raw(&mut self, n: usize) -> Result<&'a [u8], UnpackError> {
-        let end = self.pos + n;
-        if end > self.bytes.len() {
+        let Some(end) = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()) else {
             return Err(UnpackError {
                 at: self.pos,
                 remaining: self.bytes.len() - self.pos,
             });
-        }
+        };
         let out = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(out)
@@ -904,6 +903,23 @@ mod tests {
         assert_eq!(c.try_read_raw(3).unwrap(), &[b'S', b'2', 3]);
         assert_eq!(c.read_u64(), 5);
         assert!(c.try_read_raw(1).is_err());
+    }
+
+    #[test]
+    fn raw_read_past_usize_max_is_an_error() {
+        let mut b = PackBuffer::new();
+        b.push_raw(&[1, 2, 3]);
+        let mut c = b.cursor();
+        c.try_read_raw(2).unwrap();
+        assert_eq!(
+            c.try_read_raw(usize::MAX).unwrap_err(),
+            UnpackError {
+                at: 2,
+                remaining: 1
+            }
+        );
+        assert_eq!(c.position(), 2, "a failed read consumes nothing");
+        assert_eq!(c.try_read_raw(1).unwrap(), &[3]);
     }
 
     #[test]
