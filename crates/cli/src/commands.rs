@@ -27,7 +27,7 @@ sparsedist — sparse array distribution toolkit
 
 USAGE:
   sparsedist gen OUT.mtx [--rows N] [--cols N] [--ratio S] [--seed K]
-                         [--pattern uniform|banded|laplacian|clustered]
+                         [--pattern uniform|banded|laplacian|clustered] [--bandwidth N]
   sparsedist info FILE.mtx
   sparsedist distribute FILE.mtx [--scheme sfc|cfs|ed] [--partition row|column|mesh|rowcyclic|colcyclic]
                          [--procs P] [--grid RxC] [--kind crs|ccs] [--model sp2|compute|network]
@@ -50,8 +50,9 @@ USAGE:
   --trace writes a Chrome-trace JSON of the run (load in Perfetto).
   Every rank runs as a task on one deterministic event loop, so --procs
   goes up to 131072 on every subcommand.
-  sparsedist trace FILE.mtx [--scheme …] [--partition …] [--procs P] [--kind …]
-                         [--model …] [--wire …] [--parallel yes] [--overlap yes]
+  sparsedist trace FILE.mtx [--scheme …] [--partition …] [--procs P] [--grid RxC]
+                         [--kind …] [--model …] [--faults SPEC] [--retries N]
+                         [--wire …] [--codec …] [--parallel yes] [--overlap yes]
                          [--chunk-elems N] [--width N]
                          [--out TRACE.json] [--metrics METRICS.json]
   sparsedist chaos [--seeds N] [--procs P] [--rows N] [--ratio S]
@@ -80,10 +81,13 @@ USAGE:
   while frames are in flight; 'chaos' sweeps --seeds seeded fault
   plans. Nonzero exit on divergence, deadlock or truncation.
   sparsedist advise FILE.mtx [--procs P] [--model sp2|compute|network]
-  sparsedist spmv FILE.mtx [--procs P] [--scheme ed]
+  sparsedist spmv FILE.mtx [--procs P] [--scheme ed] [--partition …] [--grid RxC]
+                         [--faults SPEC] [--retries N]
   sparsedist checkpoint FILE.mtx DIR [--procs P] [--scheme ed] [--partition …]
-  sparsedist restore DIR OUT.mtx [--procs P] [--partition …] [--rows R] [--cols C]
-  sparsedist pipeline FILE.mtx [--procs P] [--grid RxC]
+                         [--grid RxC] [--faults SPEC] [--retries N]
+  sparsedist restore DIR OUT.mtx [--procs P] [--partition …] [--grid RxC]
+                         [--rows R] [--cols C]
+  sparsedist pipeline FILE.mtx [--procs P] [--grid RxC] [--faults SPEC] [--retries N]
   sparsedist help
 
   Each subcommand accepts only the flags listed for it; any other

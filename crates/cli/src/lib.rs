@@ -88,3 +88,35 @@ pub fn run(argv: &[String]) -> Result<String, String> {
     parsed.check_flags(accepted).map_err(|e| e.to_string())?;
     command(&parsed)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The `--flag` names mentioned in `text`.
+    fn flags_in(text: &str) -> BTreeSet<&str> {
+        text.split("--")
+            .skip(1)
+            .filter_map(|rest| {
+                rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .next()
+                    .filter(|flag| !flag.is_empty())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_subcommand_accepts() {
+        for &(name, _, accepted) in COMMANDS {
+            let head = format!("\n  sparsedist {name} ");
+            let start = commands::USAGE
+                .find(&head)
+                .unwrap_or_else(|| panic!("USAGE has no entry for `{name}`"));
+            let rest = &commands::USAGE[start + head.len()..];
+            let entry = &rest[..rest.find("\n  sparsedist ").unwrap_or(rest.len())];
+            let accepted: BTreeSet<&str> = accepted.split_whitespace().collect();
+            assert_eq!(flags_in(entry), accepted, "USAGE entry for `{name}`");
+        }
+    }
+}
