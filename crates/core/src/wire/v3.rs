@@ -663,13 +663,16 @@ fn pack_codes<const K: usize>(out: &mut [u8], mut codes: impl Iterator<Item = u8
 }
 
 /// Inverse of [`pack_codes`]: fill `out` with the dictionary entries its
-/// codes name, or fail on a code past the dictionary.
+/// codes name, or fail if any code is past the dictionary.
 fn unpack_codes<const K: usize>(
     out: &mut [u8],
     code_bytes: &[u8],
     dict: &[u8],
 ) -> Result<(), SparsedistError> {
+    let mut lut = [0u8; 16];
+    lut[..dict.len()].copy_from_slice(dict);
     let mask = (1u32 << K) - 1;
+    let mut past_end = false;
     for (dst, src) in out.chunks_mut(8).zip(code_bytes.chunks(K)) {
         let mut w = [0u8; 4];
         // Whole groups take a fixed-size copy; only the last can be short.
@@ -680,13 +683,31 @@ fn unpack_codes<const K: usize>(
         }
         let acc = u32::from_le_bytes(w);
         for (j, byte) in dst.iter_mut().enumerate() {
-            let code = (acc >> (j * K)) & mask;
-            *byte = *dict
-                .get(code as usize)
-                .ok_or(codec_err("value-plane dictionary code out of range"))?;
+            let code = ((acc >> (j * K)) & mask) as usize;
+            *byte = lut[code];
+            past_end |= code >= dict.len();
         }
     }
+    if past_end {
+        return Err(codec_err("value-plane dictionary code out of range").into());
+    }
     Ok(())
+}
+
+/// Append a run of `len` copies of `b` to the `filled` bytes of `out`,
+/// or return `false` if it does not fit.
+fn fill_run(out: &mut [u8], filled: &mut usize, len: usize, b: u8) -> bool {
+    if len > out.len() - *filled {
+        return false;
+    }
+    // A short run is one 16-byte write where it fits; the runs after it
+    // overwrite the excess.
+    match out.get_mut(*filled..*filled + 16) {
+        Some(dst) if len <= 16 => dst.copy_from_slice(&[b; 16]),
+        _ => out[*filled..*filled + len].fill(b),
+    }
+    *filled += len;
+    true
 }
 
 /// Read back one plane into `out` (the plane's `n` bytes).
@@ -726,34 +747,45 @@ fn decode_plane(cursor: &mut UnpackCursor<'_>, out: &mut [u8]) -> Result<(), Spa
             let nruns = cursor.try_read_varint()? as usize;
             guard_count(cursor, nruns, 2)?;
             let mut filled = 0;
-            for _ in 0..nruns {
-                // Most runs are one length byte and the value byte; any
-                // other run, or a stream that ends early, reads field by
-                // field so errors name the same offsets.
-                let mut peek = cursor.clone();
-                let (len, b) = match peek.try_read_raw(2) {
-                    Ok(&[len @ 1..=0x7f, b]) => {
-                        *cursor = peek;
-                        (usize::from(len), b)
+            let exceed = || codec_err("value-plane RLE runs exceed the value count");
+            let mut left = nruns;
+            while left > 0 {
+                // Most runs are one length byte and the value byte: parse
+                // a stretch of those straight from the bytes.
+                let stretch = (2 * left).min(cursor.remaining());
+                let pairs = cursor.clone().try_read_raw(stretch)?;
+                let mut short = 0;
+                let mut fits = true;
+                for pair in pairs.chunks_exact(2) {
+                    let len = usize::from(pair[0]);
+                    if !(1..0x80).contains(&len) {
+                        break;
                     }
-                    _ => {
-                        let len = cursor.try_read_varint()? as usize;
-                        if len == 0 {
-                            return Err(codec_err("value-plane RLE run of length zero").into());
-                        }
-                        (len, cursor.try_read_raw(1)?[0])
+                    short += 1;
+                    fits = fill_run(out, &mut filled, len, pair[1]);
+                    if !fits {
+                        break;
                     }
-                };
-                if len > n - filled {
-                    return Err(codec_err("value-plane RLE runs exceed the value count").into());
                 }
-                // A short run is stored as one 16-byte write where it
-                // fits; the runs after it overwrite the excess.
-                match out.get_mut(filled..filled + 16) {
-                    Some(dst) if len <= 16 => dst.copy_from_slice(&[b; 16]),
-                    _ => out[filled..filled + len].fill(b),
+                cursor.try_read_raw(2 * short)?;
+                if !fits {
+                    return Err(exceed().into());
                 }
-                filled += len;
+                left -= short;
+                if left == 0 {
+                    break;
+                }
+                // Any other run reads field by field, so errors name the
+                // same offsets.
+                let len = cursor.try_read_varint()? as usize;
+                if len == 0 {
+                    return Err(codec_err("value-plane RLE run of length zero").into());
+                }
+                let b = cursor.try_read_raw(1)?[0];
+                if !fill_run(out, &mut filled, len, b) {
+                    return Err(exceed().into());
+                }
+                left -= 1;
             }
             if filled != n {
                 return Err(codec_err("value-plane RLE runs fall short of the value count").into());
@@ -1027,6 +1059,17 @@ mod tests {
         assert!(try_decode(&[PLANE_RLE, 1, 9, 42], 1).is_err());
         // RLE runs falling short.
         assert!(try_decode(&[PLANE_RLE, 1, 1, 42], 3).is_err());
+        // A truncated RLE plane names the first missing field, also after
+        // a multi-byte run length: here the last run's value byte.
+        assert_eq!(
+            try_decode(&[PLANE_RLE, 3, 0xad, 1, 64, 1, 63, 5], 179),
+            Err(SparsedistError::Unpack(
+                sparsedist_multicomputer::pack::UnpackError {
+                    at: 8,
+                    remaining: 0
+                }
+            ))
+        );
     }
 
     #[test]
