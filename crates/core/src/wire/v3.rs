@@ -623,13 +623,7 @@ fn write_plane(out: &mut [u8], bytes: &[u8], plan: &PlanePlan) {
             for (base, mut opens) in chunk_opens(bytes) {
                 while opens != 0 {
                     let pos = base + opens.trailing_zeros() as usize;
-                    let len = pos - start;
-                    if len < 0x80 {
-                        out[at] = len as u8;
-                        at += 1;
-                    } else {
-                        at += put_varint(&mut out[at..], len as u64);
-                    }
+                    at += put_varint(&mut out[at..], (pos - start) as u64);
                     out[at] = bytes[start];
                     at += 1;
                     start = pos;
