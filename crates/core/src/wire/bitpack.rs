@@ -10,7 +10,7 @@
 //! Values arrive and leave as iterators, so an encoder prices a stream
 //! with [`packed_size`] and writes it with [`write_packed`] straight from
 //! the data it derives the values from, and a decoder walks them with
-//! [`PackedValues`]; only one block is ever staged, on the stack.
+//! [`PackedValues`]; at most one block is staged, on the stack.
 //!
 //! [`take_packed`] validates the width bytes and bounds every payload
 //! read before anything is decoded, so truncated or corrupt streams
@@ -30,30 +30,44 @@ pub fn bits_for(v: u64) -> u32 {
 
 /// Bytes [`write_packed`] would write for `vals`.
 pub fn packed_size(vals: impl IntoIterator<Item = u64>) -> usize {
-    let mut blocks = Blocks::new(vals);
+    let mut vals = vals.into_iter();
     let mut total = 0;
-    // The widest value of a block sets the same top bit as their union.
-    while let Some((len, union)) = blocks.fill() {
+    loop {
+        // The widest value of a block sets the same top bit as their union.
+        let (len, union) = vals
+            .by_ref()
+            .take(BLOCK)
+            .fold((0, 0), |(len, union), v| (len + 1, union | v));
+        if len == 0 {
+            return total;
+        }
         total += 1 + (len * bits_for(union) as usize).div_ceil(8);
     }
-    total
 }
 
 /// Write the packed encoding of `vals` to the front of `out` (which must
 /// hold at least [`packed_size`] bytes) and return the bytes written.
 pub fn write_packed(out: &mut [u8], vals: impl IntoIterator<Item = u64>) -> usize {
-    let mut blocks = Blocks::new(vals);
+    let mut vals = vals.into_iter();
+    let mut block = [0u64; BLOCK];
     let mut at = 0;
-    while let Some((len, union)) = blocks.fill() {
+    loop {
+        let mut len = 0;
+        let mut union = 0;
+        for v in vals.by_ref().take(BLOCK) {
+            block[len] = v;
+            union |= v;
+            len += 1;
+        }
+        if len == 0 {
+            return at;
+        }
         let w = bits_for(union);
         out[at] = w as u8;
         at += 1;
-        if w == 0 {
-            continue;
-        }
         let mut acc: u128 = 0;
         let mut nbits: u32 = 0;
-        for &v in &blocks.block[..len] {
+        for &v in &block[..len] {
             acc |= (v as u128) << nbits;
             nbits += w;
             while nbits >= 8 {
@@ -67,35 +81,6 @@ pub fn write_packed(out: &mut [u8], vals: impl IntoIterator<Item = u64>) -> usiz
             out[at] = acc as u8;
             at += 1;
         }
-    }
-    at
-}
-
-/// A value iterator cut into [`BLOCK`]-sized blocks staged on the stack.
-struct Blocks<I> {
-    vals: I,
-    block: [u64; BLOCK],
-}
-
-impl<I: Iterator<Item = u64>> Blocks<I> {
-    fn new(vals: impl IntoIterator<IntoIter = I>) -> Self {
-        Blocks {
-            vals: vals.into_iter(),
-            block: [0; BLOCK],
-        }
-    }
-
-    /// Stage the next block; returns its length and the bitwise union of
-    /// its values, or `None` once the values are exhausted.
-    fn fill(&mut self) -> Option<(usize, u64)> {
-        let mut len = 0;
-        let mut union = 0;
-        for v in self.vals.by_ref().take(BLOCK) {
-            self.block[len] = v;
-            union |= v;
-            len += 1;
-        }
-        (len > 0).then_some((len, union))
     }
 }
 
