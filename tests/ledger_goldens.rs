@@ -219,3 +219,33 @@ fn frobenius_results_match_goldens() {
     }
     check_golden("frobenius", &out);
 }
+
+/// An overlapped ED run in which rank 3 dies mid-stream. The source
+/// detects the death on a nonblocking post and replays the part with a
+/// blocking send while its earlier posts are still on the NIC. That
+/// send charges the CPU clock and does not queue behind the NIC.
+#[test]
+fn routed_overlap_ledgers_match_goldens() {
+    let rows = RowBlock::new(N, N, P);
+    let plan = FaultPlan::new(0x5EED).with_death_at(3, 200.0);
+    let machine = Multicomputer::virtual_machine(P, MachineModel::ibm_sp2()).with_faults(plan);
+    let config = SchemeConfig {
+        overlap: true,
+        ..SchemeConfig::default()
+    };
+    let r = run_scheme_with(
+        SchemeKind::Ed,
+        &machine,
+        &array(),
+        &rows,
+        CompressKind::Crs,
+        config,
+    );
+    let mut out = String::new();
+    section(
+        &mut out,
+        "overlap ED die=3:200",
+        r.as_ref().map(|r| (&r.owners, &r.ledgers[..])),
+    );
+    check_golden("routed_overlap", &out);
+}
