@@ -32,8 +32,8 @@
 use super::v3::V3Packed;
 use super::varint::{IndexRunReader, IndexRunWriter};
 use super::{
-    effective_format, negotiate, read_count, read_header, read_monotone_run, write_header,
-    UnpackedTriple, WireFormat, FLAG_DELTA,
+    negotiate, read_count, read_header, read_monotone_run, write_header, UnpackedTriple,
+    WireFormat, FLAG_DELTA,
 };
 use crate::compress::CompressError;
 use crate::error::SparsedistError;
@@ -109,15 +109,6 @@ impl WirePolicy {
             format,
             choice,
             model,
-        }
-    }
-
-    /// The policy this sender uses towards a peer that speaks at most
-    /// `peer_max`: same choices, format capped to what the peer decodes.
-    pub fn capped(self, peer_max: WireFormat) -> Self {
-        WirePolicy {
-            format: effective_format(self.format, peer_max),
-            ..self
         }
     }
 }

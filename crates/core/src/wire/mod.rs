@@ -33,10 +33,9 @@
 //!   an element however many bytes encode it, and therefore every
 //!   virtual-time phase total is format-independent. Only bytes-on-wire
 //!   (and host encode time) change.
-//! * **Version-min negotiation.** A sender caps its format at what the
-//!   peer decodes ([`effective_format`]); a v3-capable receiver also
-//!   accepts v2 streams directly (see [`Codec::open_message`]), so mixed
-//!   fleets degrade to the newest common format instead of failing.
+//! * **Self-describing streams.** A v3-capable receiver also accepts v2
+//!   streams directly (see [`Codec::open_message`]), so old senders keep
+//!   working; a v2 receiver rejects a v3 stream with a typed error.
 
 pub mod bitpack;
 pub mod codec;
@@ -109,16 +108,6 @@ impl WireFormat {
 impl std::fmt::Display for WireFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// The format a sender actually uses towards a peer: its own preference
-/// capped at the newest format the peer decodes (version-min fallback).
-pub fn effective_format(local: WireFormat, peer_max: WireFormat) -> WireFormat {
-    if local.version() <= peer_max.version() {
-        local
-    } else {
-        peer_max
     }
 }
 
@@ -516,40 +505,6 @@ mod tests {
         // Values dominate: 5 f64s = 40 bytes; header 3 + 4 pointer deltas
         // + 5 single-byte index varints = 12.
         assert_eq!(v2.byte_len(), 3 + 4 + 5 + 40);
-    }
-
-    #[test]
-    fn capped_policy_is_byte_identical_to_the_peer_format() {
-        // A v3 sender talking to a v2-capable peer produces exactly the
-        // stream a native v2 sender would.
-        let (ro, co, vl) = fig7_triple();
-        let v3_capped = WirePolicy::of(WireFormat::V3).capped(WireFormat::V2);
-        assert_eq!(v3_capped.format, WireFormat::V2);
-        let mut capped = PackBuffer::new();
-        pack_triple_into(&mut capped, &ro, &co, &vl, 8, &v3_capped);
-        let mut native = PackBuffer::new();
-        pack_triple_into(
-            &mut native,
-            &ro,
-            &co,
-            &vl,
-            8,
-            &WirePolicy::of(WireFormat::V2),
-        );
-        assert_eq!(capped, native);
-        // And the other direction never upgrades.
-        assert_eq!(
-            effective_format(WireFormat::V1, WireFormat::V3),
-            WireFormat::V1
-        );
-        assert_eq!(
-            effective_format(WireFormat::V3, WireFormat::V1),
-            WireFormat::V1
-        );
-        assert_eq!(
-            effective_format(WireFormat::V3, WireFormat::V3),
-            WireFormat::V3
-        );
     }
 
     #[test]

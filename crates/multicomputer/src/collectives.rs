@@ -82,35 +82,6 @@ pub async fn scatterv(
     Ok(msg.payload)
 }
 
-/// Nonblocking scatter: like [`scatterv`] but the root posts every send
-/// with [`Env::isend`] and drains its NIC once with [`Env::wait_all`], so
-/// the per-destination `make_buf` work overlaps with the transfers.
-///
-/// Delivered payloads, wire statistics and receiver clocks are identical to
-/// [`scatterv`]; only the root's time attribution changes (and its makespan
-/// shrinks whenever `make_buf` does real work between posts).
-pub async fn iscatterv(
-    env: &mut Env,
-    root: usize,
-    mut make_buf: impl FnMut(usize) -> PackBuffer,
-) -> Result<PackBuffer, CommError> {
-    check_self_alive(env)?;
-    env.begin_span("iscatterv");
-    if env.rank() == root {
-        for dst in 0..env.nprocs() {
-            if env.is_rank_dead(dst) {
-                continue;
-            }
-            let buf = make_buf(dst);
-            span_try!(env, env.isend(dst, buf));
-        }
-        env.wait_all();
-    }
-    let msg = span_try!(env, env.recv_async(root).await);
-    env.end_span();
-    Ok(msg.payload)
-}
-
 /// Gather one buffer from every rank at `root`.
 ///
 /// Every alive rank sends `buf` to the root; the root returns one buffer
@@ -437,35 +408,6 @@ mod tests {
         // Root sends 2 messages of 9 elems: 2*(1 + 9*1) = 20 µs.
         assert_eq!(ledgers[0].get(Phase::Send).as_micros(), 20.0);
         assert_eq!(ledgers[1].get(Phase::Send).as_micros(), 0.0);
-    }
-
-    #[test]
-    fn iscatterv_matches_scatterv_payloads_and_receiver_clocks() {
-        let run = |nonblocking: bool| {
-            tasks(&machine(4), move |env| {
-                Box::pin(async move {
-                    let make = |dst: usize| {
-                        let mut b = PackBuffer::new();
-                        b.push_u64_slice(&vec![dst as u64; dst + 1]);
-                        b
-                    };
-                    let buf = if nonblocking {
-                        iscatterv(env, 0, make).await.unwrap()
-                    } else {
-                        scatterv(env, 0, make).await.unwrap()
-                    };
-                    buf.elem_count()
-                })
-            })
-        };
-        let (got_nb, ledgers_nb) = run(true);
-        let (got_b, ledgers_b) = run(false);
-        assert_eq!(got_nb, got_b);
-        assert_eq!(got_nb, vec![1, 2, 3, 4]);
-        // Root wire totals and every receiver's ledger are identical; only
-        // the root's send/wait attribution may differ.
-        assert_eq!(ledgers_nb[0].wire(), ledgers_b[0].wire());
-        assert_eq!(ledgers_nb[1..], ledgers_b[1..]);
     }
 
     #[test]
