@@ -1281,6 +1281,22 @@ mod tests {
     }
 
     #[test]
+    fn distribute_reports_a_non_finite_value_with_its_line() {
+        let path = tmp("nan.mtx");
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.0\n2 2 NaN\n",
+        )
+        .unwrap();
+        let err =
+            crate::run(&argv(&format!("distribute {path} --procs 2 --scheme ed"))).unwrap_err();
+        assert!(
+            err.ends_with("parse error on line 4: value is not finite"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn checkpoint_restore_round_trip() {
         let mtx = tmp("ckpt_src.mtx");
         let dir = tmp("ckpt_dir");
