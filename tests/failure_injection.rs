@@ -2,11 +2,14 @@
 //! malformed compressed arrays, bad MatrixMarket input, misconfigured
 //! machines.
 
-use sparsedist::core::compress::{Ccs, CompressError, Crs};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use sparsedist::core::compress::{Ccs, CompressError, Coo, Crs};
 use sparsedist::core::dense::paper_array_a;
 use sparsedist::core::encode::{decode_part, encode_part};
 use sparsedist::core::opcount::OpCounter;
-use sparsedist::gen::matrixmarket;
+use sparsedist::gen::matrixmarket::{self, MmError};
+use sparsedist::gen::SparseRandom;
 use sparsedist::multicomputer::PackBuffer;
 use sparsedist::prelude::*;
 
@@ -87,6 +90,72 @@ fn matrixmarket_rejects_malformed_documents() {
     ] {
         assert!(matrixmarket::parse(bad).is_err(), "should reject: {bad:?}");
     }
+}
+
+/// Seeded byte-level corruption of a valid document: inserts, overwrites
+/// and deletes of separators, line breaks, non-ASCII whitespace, signs,
+/// comment markers and out-of-range or non-finite literals. Every result
+/// is a typed error or an array of in-bounds, finite entries.
+#[test]
+fn matrixmarket_survives_seeded_corruption() {
+    const TOKENS: [&str; 18] = [
+        "\t",
+        "\x0B",
+        "\r",
+        "\r\n",
+        "\n",
+        " ",
+        "\u{A0}",
+        "\u{3000}",
+        "é",
+        "+",
+        "-",
+        "%",
+        "1e400",
+        "NaN",
+        "inf",
+        "0",
+        "99999999999999999999",
+        "x",
+    ];
+    let a = SparseRandom::new(64, 64)
+        .sparse_ratio(0.1)
+        .seed(5)
+        .generate();
+    let clean = matrixmarket::render(&Coo::from_dense(&a));
+    let mut rng = StdRng::seed_from_u64(0x4D4D_F022);
+    let mut accepted = 0;
+    for case in 0..1000 {
+        let mut doc = clean.clone();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let mut at = rng.random_range(0..doc.len() + 1);
+            while !doc.is_char_boundary(at) {
+                at -= 1;
+            }
+            let next = doc[at..].chars().next().map_or(0, char::len_utf8);
+            let tok = TOKENS[rng.random_range(0..TOKENS.len())];
+            match rng.random_range(0..3usize) {
+                0 => doc.insert_str(at, tok),
+                1 => doc.replace_range(at..at + next, tok),
+                _ => doc.replace_range(at..at + next, ""),
+            }
+        }
+        match matrixmarket::parse(&doc) {
+            Ok(coo) => {
+                accepted += 1;
+                for &(r, c, v) in coo.entries() {
+                    assert!(
+                        r < coo.rows() && c < coo.cols() && v.is_finite(),
+                        "case {case}: entry ({r},{c},{v}) accepted"
+                    );
+                }
+            }
+            Err(MmError::Parse { .. } | MmError::Unsupported(_)) => {}
+            Err(e) => panic!("case {case}: untyped failure {e}"),
+        }
+    }
+    // Both outcomes occur, so the corpus exercises the accept path too.
+    assert!((1..1000).contains(&accepted), "accepted {accepted} of 1000");
 }
 
 #[test]
