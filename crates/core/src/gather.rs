@@ -21,7 +21,7 @@ use crate::convert::ConversionCase;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
-use crate::schemes::{alive_ranks_of, assign_owners};
+use crate::schemes::{alive_ranks_of, assign_owners, OwnerIndex};
 use sparsedist_multicomputer::pack::UnpackError;
 use sparsedist_multicomputer::{
     Env, Multicomputer, PackBuffer, Phase, PhaseLedger, RankTask, VirtualTime,
@@ -277,7 +277,7 @@ struct GatherCtx<'a> {
     part: &'a dyn Partition,
     kind: CompressKind,
     strategy: GatherStrategy,
-    owners: &'a [usize],
+    owners: &'a OwnerIndex,
 }
 
 /// One rank of the gather: pack and send every owned part to rank 0;
@@ -301,8 +301,7 @@ fn gather_task<'e>(
 
         // Sender side: build and ship one buffer per owned part (exactly
         // one — this rank's own — when every rank is alive).
-        let p = owners.len();
-        for pid in (0..p).filter(|&pid| owners[pid] == me) {
+        for &pid in owners.of(me) {
             let buf = env.phase(Phase::Pack, |env| {
                 let mut ops = OpCounter::new();
                 let buf = pack_part(&locals[pid], part, pid, kind, strategy, &mut ops);
@@ -320,7 +319,7 @@ fn gather_task<'e>(
         // part's owner) into global triplets.
         let mut trips: Vec<(usize, usize, f64)> = Vec::new();
         let mut ops = OpCounter::new();
-        for (src, &owner) in owners.iter().enumerate() {
+        for (src, &owner) in owners.owners().iter().enumerate() {
             let msg = env.recv_async(owner).await?;
             env.phase(Phase::Unpack, |_env| {
                 unpack_part(
@@ -408,7 +407,7 @@ pub fn gather_global(
     if machine.fault_plan().is_some_and(|pl| pl.is_dead(0)) {
         return Err(SparsedistError::SourceDead { rank: 0 });
     }
-    let owners = assign_owners(part, &alive_ranks_of(machine));
+    let owners = OwnerIndex::new(assign_owners(part, &alive_ranks_of(machine)), p);
     let ctx = GatherCtx {
         locals,
         part,

@@ -27,7 +27,7 @@ use crate::compress::{Ccs, CompressKind, Crs, LocalCompressed};
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
-use crate::schemes::{alive_ranks_of, assign_owners, collect_parts};
+use crate::schemes::{alive_ranks_of, assign_owners, collect_parts, OwnerIndex};
 use sparsedist_multicomputer::pack::UnpackError;
 use sparsedist_multicomputer::{
     Env, Multicomputer, PackBuffer, Phase, PhaseLedger, RankTask, VirtualTime,
@@ -171,8 +171,8 @@ struct RedistCtx<'a> {
     strategy: RedistStrategy,
     alive: &'a [usize],
     hub: usize,
-    from_owners: &'a [usize],
-    to_owners: &'a [usize],
+    from_owners: &'a OwnerIndex,
+    to_owners: &'a OwnerIndex,
 }
 
 /// One rank of the redistribution: bucket the owned nonzeros by target
@@ -205,7 +205,7 @@ fn redist_task<'e>(
         let buckets = env.phase(Phase::Pack, |env| {
             let mut ops = OpCounter::new();
             let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
-            for fpid in (0..p).filter(|&pid| from_owners[pid] == me) {
+            for &fpid in from_owners.of(me) {
                 for (tpid, b) in bucket_by_new_owner(fpid, &locals[fpid], from, to, p, &mut ops)
                     .into_iter()
                     .enumerate()
@@ -216,7 +216,7 @@ fn redist_task<'e>(
             env.charge_ops(ops.take());
             buckets
         });
-        let to_mine: Vec<usize> = (0..p).filter(|&pid| to_owners[pid] == me).collect();
+        let to_mine = to_owners.of(me);
 
         let mut incoming: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); to_mine.len()];
         match strategy {
@@ -234,7 +234,7 @@ fn redist_task<'e>(
                 drop(buckets);
                 env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
                     for (tpid, buf) in bufs.into_iter().enumerate() {
-                        env.send(to_owners[tpid], buf)?;
+                        env.send(to_owners.owners()[tpid], buf)?;
                     }
                     Ok(())
                 })?;
@@ -288,7 +288,7 @@ fn redist_task<'e>(
                     env.phase(Phase::Unpack, |env| env.charge_ops(ops.take()));
                     env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
                         for (tpid, buf) in bufs.into_iter().enumerate() {
-                            env.send(to_owners[tpid], buf)?;
+                            env.send(to_owners.owners()[tpid], buf)?;
                         }
                         Ok(())
                     })?;
@@ -410,8 +410,8 @@ pub fn redistribute(
     let Some(&hub) = alive.first() else {
         return Err(SparsedistError::SourceDead { rank: 0 });
     };
-    let from_owners = assign_owners(from, &alive);
-    let to_owners = assign_owners(to, &alive);
+    let from_owners = OwnerIndex::new(assign_owners(from, &alive), p);
+    let to_owners = OwnerIndex::new(assign_owners(to, &alive), p);
     let ctx = RedistCtx {
         locals,
         from,

@@ -31,6 +31,8 @@ use crate::partition::Partition;
 use crate::scan::PartScan;
 use crate::wire::{CodecChoice, WireFormat};
 use sparsedist_multicomputer::{Multicomputer, Phase, PhaseLedger, VirtualTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Tuning knobs for a scheme run that change *how* the work is done on the
@@ -195,39 +197,107 @@ pub fn assign_owners(part: &dyn Partition, alive: &[usize]) -> Vec<usize> {
         return (0..nparts).collect();
     }
     let alive_set: std::collections::BTreeSet<usize> = alive.iter().copied().collect();
-    let mut owners: Vec<usize> = vec![usize::MAX; nparts];
-    // Parts whose home rank survives stay put; dead parts get re-packed.
-    let mut load: std::collections::BTreeMap<usize, usize> =
-        alive.iter().map(|&r| (r, 0usize)).collect();
     let cells = |pid: usize| {
         let (r, c) = part.local_shape(pid);
         r * c
     };
+    // Parts whose home rank (the rank with the part's index) survives stay
+    // put; dead parts get re-packed.
+    let mut owners: Vec<usize> = vec![usize::MAX; nparts];
     let mut orphans: Vec<usize> = Vec::new();
     for (pid, owner) in owners.iter_mut().enumerate() {
-        // A part's home rank is the rank with its index (one part per rank).
         if alive_set.contains(&pid) {
             *owner = pid;
-            // lint: allow(E002) — load was seeded with one slot per alive rank above
-            *load.get_mut(&pid).expect("alive rank has a load slot") += cells(pid);
         } else {
             orphans.push(pid);
         }
     }
-    // LPT: biggest orphan first, onto the least-loaded survivor (ties to
-    // the lowest rank — BTreeMap iteration order makes this deterministic).
-    orphans.sort_by_key(|&pid| std::cmp::Reverse(cells(pid)));
-    for pid in orphans {
-        let (&best, _) = load
-            .iter()
-            .min_by_key(|&(&r, &l)| (l, r))
-            // lint: allow(E002) — `assert!(!alive.is_empty())` at entry keeps load non-empty
-            .expect("at least one alive rank");
-        owners[pid] = best;
-        // lint: allow(E002) — best was drawn from load's own iterator just above
-        *load.get_mut(&best).expect("chosen rank is alive") += cells(pid);
-    }
+    // LPT: biggest orphan first, onto the least-loaded survivor.
+    orphans.sort_by_key(|&pid| Reverse(cells(pid)));
+    let load = alive_set
+        .iter()
+        .map(|&r| (r, if r < nparts { cells(r) } else { 0 }));
+    place_least_loaded(load, &orphans, cells, &mut owners);
     owners
+}
+
+/// Place each of `orphans`, in the given order, on the rank with the least
+/// load so far (ties to the lowest rank), adding the part's cells to that
+/// rank's load. `load` seeds one `(rank, load)` entry per candidate rank;
+/// each placement costs O(log ranks).
+///
+/// # Panics
+/// Panics if `orphans` is non-empty but `load` is empty.
+pub(crate) fn place_least_loaded(
+    load: impl IntoIterator<Item = (usize, usize)>,
+    orphans: &[usize],
+    cells: impl Fn(usize) -> usize,
+    owners: &mut [usize],
+) {
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+        load.into_iter().map(|(r, l)| Reverse((l, r))).collect();
+    for &pid in orphans {
+        let mut least = heap
+            .peek_mut()
+            // lint: allow(E002) — callers seed at least one rank before placing any orphan
+            .expect("at least one rank to place on");
+        let Reverse((l, r)) = *least;
+        owners[pid] = r;
+        *least = Reverse((l + cells(pid), r));
+    }
+}
+
+/// The inverse of an owner map: the parts each rank owns, in ascending part
+/// id order, so a rank visits its own parts in O(its parts) instead of
+/// scanning all `p`. Built once per run on the host by a counting sort; it
+/// charges nothing to any virtual clock.
+///
+/// Ascending order matters: the source sends parts in part order over a
+/// FIFO link, so a rank owning several parts receives them in that order.
+pub(crate) struct OwnerIndex {
+    owners: Vec<usize>,
+    /// `parts[start[r]..start[r + 1]]` are the parts rank `r` owns.
+    start: Vec<usize>,
+    parts: Vec<usize>,
+}
+
+impl OwnerIndex {
+    /// Index `owners` (`owners[pid]` is part `pid`'s rank, below `nranks`).
+    pub(crate) fn new(owners: Vec<usize>, nranks: usize) -> Self {
+        let mut start = vec![0usize; nranks + 1];
+        for &r in &owners {
+            start[r + 1] += 1;
+        }
+        for r in 0..nranks {
+            start[r + 1] += start[r];
+        }
+        let mut next = start[..nranks].to_vec();
+        let mut parts = vec![0usize; owners.len()];
+        for (pid, &r) in owners.iter().enumerate() {
+            parts[next[r]] = pid;
+            next[r] += 1;
+        }
+        OwnerIndex {
+            owners,
+            start,
+            parts,
+        }
+    }
+
+    /// The owner map itself (`owners()[pid]` is part `pid`'s rank).
+    pub(crate) fn owners(&self) -> &[usize] {
+        &self.owners
+    }
+
+    /// The parts `rank` owns, ascending.
+    pub(crate) fn of(&self, rank: usize) -> &[usize] {
+        &self.parts[self.start[rank]..self.start[rank + 1]]
+    }
+
+    /// Give back the owner map.
+    pub(crate) fn into_owners(self) -> Vec<usize> {
+        self.owners
+    }
 }
 
 /// The ranks alive under `machine`'s fault plan (all of them without one).
@@ -724,6 +794,93 @@ mod tests {
         assert!([0, 1, 3].contains(&owners[2]), "owners = {owners:?}");
         // Determinism: same inputs, same placement.
         assert_eq!(owners, assign_owners(&part, &[0, 1, 3]));
+    }
+
+    /// The placement loop before it moved onto a heap: a linear scan of a
+    /// `BTreeMap` for the least-loaded survivor per orphan. Kept as the
+    /// reference `assign_owners` must reproduce exactly.
+    fn assign_owners_by_scan(part: &dyn Partition, alive: &[usize]) -> Vec<usize> {
+        use std::collections::{BTreeMap, BTreeSet};
+        let nparts = part.nparts();
+        let alive_set: BTreeSet<usize> = alive.iter().copied().collect();
+        let cells = |pid: usize| {
+            let (r, c) = part.local_shape(pid);
+            r * c
+        };
+        let mut owners = vec![usize::MAX; nparts];
+        let mut load: BTreeMap<usize, usize> = alive.iter().map(|&r| (r, 0)).collect();
+        let mut orphans = Vec::new();
+        for (pid, owner) in owners.iter_mut().enumerate() {
+            if alive_set.contains(&pid) {
+                *owner = pid;
+                *load.get_mut(&pid).unwrap() += cells(pid);
+            } else {
+                orphans.push(pid);
+            }
+        }
+        orphans.sort_by_key(|&pid| Reverse(cells(pid)));
+        for pid in orphans {
+            let (&best, _) = load.iter().min_by_key(|&(&r, &l)| (l, r)).unwrap();
+            owners[pid] = best;
+            *load.get_mut(&best).unwrap() += cells(pid);
+        }
+        owners
+    }
+
+    /// Seeded alive sets over `p` ranks: every rank alive, then random dead
+    /// sets of growing density, each leaving at least one rank alive.
+    fn seeded_alive_sets(p: usize, seed: u64) -> Vec<Vec<usize>> {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sets = vec![(0..p).collect::<Vec<_>>()];
+        for density in [0.01, 0.1, 0.5, 0.9] {
+            let mut alive: Vec<usize> = (0..p).filter(|_| rng.random::<f64>() >= density).collect();
+            if alive.is_empty() {
+                alive.push(rng.random_range(0..p));
+            }
+            sets.push(alive);
+        }
+        sets
+    }
+
+    #[test]
+    fn heap_placement_matches_the_linear_scan() {
+        // Uneven part sizes (rows not a multiple of p) so loads tie and
+        // differ both; the heap must pick the same (load, rank) minimum.
+        for (p, seed) in [(1, 1), (2, 2), (3, 3), (7, 4), (64, 5), (100, 6), (512, 7)] {
+            let part = RowBlock::new(3 * p + p / 3 + 1, 5, p);
+            for alive in seeded_alive_sets(p, seed) {
+                assert_eq!(
+                    assign_owners(&part, &alive),
+                    assign_owners_by_scan(&part, &alive),
+                    "p={p} alive={alive:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn owner_index_equals_the_filter_definition() {
+        let check = |owners: Vec<usize>, p: usize| {
+            let index = OwnerIndex::new(owners.clone(), p);
+            assert_eq!(index.owners(), &owners[..]);
+            for rank in 0..p {
+                let scanned: Vec<usize> = (0..owners.len())
+                    .filter(|&pid| owners[pid] == rank)
+                    .collect();
+                assert_eq!(index.of(rank), &scanned[..], "rank {rank} of {owners:?}");
+            }
+            assert_eq!(index.into_owners(), owners);
+        };
+        for p in [1, 2, 5, 64, 512] {
+            check((0..p).collect(), p);
+        }
+        for (p, seed) in [(2, 11), (9, 12), (64, 13), (333, 14), (512, 15)] {
+            let part = RowBlock::new(2 * p + 1, 4, p);
+            for alive in seeded_alive_sets(p, seed) {
+                check(assign_owners(&part, &alive), p);
+            }
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
 use crate::schemes::{
-    alive_ranks_of, assign_owners, collect_parts, map_parts_counted, SchemeConfig, SchemeKind,
-    SchemeRun, SOURCE,
+    alive_ranks_of, assign_owners, collect_parts, map_parts_counted, place_least_loaded,
+    OwnerIndex, SchemeConfig, SchemeKind, SchemeRun, SOURCE,
 };
 use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase, RankTask};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -196,10 +196,10 @@ pub(crate) async fn recv_part(
 fn source_staged<S: SchemeStages>(
     env: &mut Env,
     stages: &S,
-    nparts: usize,
     owners: &[usize],
     config: SchemeConfig,
 ) -> Result<(), SparsedistError> {
+    let nparts = owners.len();
     let bufs: Vec<PackBuffer> = match stages.source_policy() {
         SourcePolicy::Fused(phase) => env.phase(phase, |env| {
             let mut ops = OpCounter::new();
@@ -270,11 +270,10 @@ fn source_staged<S: SchemeStages>(
 fn source_overlapped<S: SchemeStages>(
     env: &mut Env,
     stages: &S,
-    nparts: usize,
     owners: &[usize],
     config: SchemeConfig,
 ) -> Result<(), SparsedistError> {
-    for (pid, &owner) in owners.iter().enumerate().take(nparts) {
+    for (pid, &owner) in owners.iter().enumerate() {
         let buf = match stages.source_policy() {
             SourcePolicy::Fused(phase) => env.phase(phase, |env| {
                 let mut ops = OpCounter::new();
@@ -432,8 +431,7 @@ async fn receive_parts<S: SchemeStages>(
 /// forbids it from holding these borrows directly).
 struct PlainCtx<'a, S: SchemeStages> {
     stages: &'a S,
-    nparts: usize,
-    owners: &'a [usize],
+    index: &'a OwnerIndex,
     config: SchemeConfig,
 }
 
@@ -450,16 +448,14 @@ fn plain_task<'e, S: SchemeStages>(
             return Ok(Vec::new());
         }
         if me == SOURCE {
+            let owners = ctx.index.owners();
             if ctx.config.overlap {
-                source_overlapped(env, ctx.stages, ctx.nparts, ctx.owners, ctx.config)?;
+                source_overlapped(env, ctx.stages, owners, ctx.config)?;
             } else {
-                source_staged(env, ctx.stages, ctx.nparts, ctx.owners, ctx.config)?;
+                source_staged(env, ctx.stages, owners, ctx.config)?;
             }
         }
-        let mine: Vec<usize> = (0..ctx.nparts)
-            .filter(|&pid| ctx.owners[pid] == me)
-            .collect();
-        receive_parts(env, ctx.stages, &mine, ctx.config).await
+        receive_parts(env, ctx.stages, ctx.index.of(me), ctx.config).await
     })
 }
 
@@ -485,11 +481,13 @@ pub(crate) fn run_pipeline<S: SchemeStages>(
         return run_pipeline_routed(machine, stages, part, kind, config);
     }
     let nparts = part.nparts();
-    let owners = assign_owners(part, &alive_ranks_of(machine));
+    let index = OwnerIndex::new(
+        assign_owners(part, &alive_ranks_of(machine)),
+        machine.nprocs(),
+    );
     let ctx = PlainCtx {
         stages,
-        nparts,
-        owners: &owners,
+        index: &index,
         config,
     };
     let (results, ledgers) = machine.run_tasks_with_ledgers(&ctx, |ctx, env| plain_task(ctx, env));
@@ -500,7 +498,7 @@ pub(crate) fn run_pipeline<S: SchemeStages>(
         source: SOURCE,
         ledgers,
         locals,
-        owners,
+        owners: index.into_owners(),
     })
 }
 
@@ -740,22 +738,14 @@ impl<'a, S: SchemeStages> Router<'a, S> {
         if survivors.is_empty() {
             return Err(SparsedistError::NoSurvivors { part: orphans[0] });
         }
+        let cells = self.cells;
         let mut load: BTreeMap<usize, usize> = survivors.iter().map(|&r| (r, 0)).collect();
-        for pid in 0..self.owners.len() {
-            if let Some(l) = load.get_mut(&self.owners[pid]) {
-                *l += self.cells[pid];
+        for (pid, owner) in self.owners.iter().enumerate() {
+            if let Some(l) = load.get_mut(owner) {
+                *l += cells[pid];
             }
         }
-        for &pid in &orphans {
-            let (&best, _) = load
-                .iter()
-                .min_by_key(|&(&r, &l)| (l, r))
-                // lint: allow(E002) — survivors is non-empty, checked above
-                .expect("at least one survivor");
-            self.owners[pid] = best;
-            // lint: allow(E002) — best was drawn from load's own iterator just above
-            *load.get_mut(&best).expect("chosen rank survives") += self.cells[pid];
-        }
+        place_least_loaded(load, &orphans, |pid| cells[pid], &mut self.owners);
         let lost = std::mem::take(&mut self.delivered[casualty]);
         self.work.extend(lost.into_iter().map(|pid| (pid, true)));
         Ok(())

@@ -168,10 +168,9 @@ pub async fn allgather(env: &mut Env, buf: PackBuffer) -> Result<Vec<PackBuffer>
 pub async fn allreduce_sum(env: &mut Env, values: &[f64]) -> Result<Vec<f64>, CommError> {
     check_self_alive(env)?;
     env.begin_span("allreduce_sum");
-    let hub = *env
-        .alive_ranks()
-        .first()
-        // lint: allow(E002) — check_self_alive passed, so alive_ranks() contains us
+    let hub = env
+        .lowest_alive_rank()
+        // lint: allow(E002) — check_self_alive passed, so at least this rank is alive
         .expect("allreduce needs at least one alive rank");
     // Checkout from the rank's arena: iterative solvers call allreduce
     // every sweep, and recycling keeps the hub's p-fold churn off the
@@ -225,10 +224,9 @@ pub async fn allreduce_sum(env: &mut Env, values: &[f64]) -> Result<Vec<f64>, Co
 /// [`Phase::Other`] to keep it out of scheme aggregates.
 pub async fn barrier(env: &mut Env) -> Result<(), CommError> {
     check_self_alive(env)?;
-    let hub = *env
-        .alive_ranks()
-        .first()
-        // lint: allow(E002) — check_self_alive passed, so alive_ranks() contains us
+    let hub = env
+        .lowest_alive_rank()
+        // lint: allow(E002) — check_self_alive passed, so at least this rank is alive
         .expect("barrier needs at least one alive rank");
     let prev = env.begin_phase(Phase::Other);
     env.begin_span("barrier");

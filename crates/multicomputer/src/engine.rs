@@ -235,7 +235,8 @@ pub struct Multicomputer {
     nprocs: usize,
     model: MachineModel,
     topology: Topology,
-    faults: Option<FaultPlan>,
+    /// Shared by every rank's [`Env`] instead of cloned into each.
+    faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     /// One buffer-reuse arena per rank, persisting across `run_*` calls so
     /// repeated distributions stop reallocating their send buffers.
@@ -307,7 +308,7 @@ impl Multicomputer {
     /// reliable-delivery layer (CRC32 framing, ack/nack, timeouts,
     /// retransmission).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = Some(Arc::new(plan));
         self
     }
 
@@ -335,7 +336,7 @@ impl Multicomputer {
 
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
+        self.faults.as_deref()
     }
 
     /// The retry policy the reliable-delivery layer uses.
@@ -453,7 +454,7 @@ pub struct Env {
     /// installed on the machine, so every hook below is a branch on `None`
     /// in the untraced hot path.
     tracer: Option<Tracer>,
-    plan: Option<FaultPlan>,
+    plan: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     arena: Arc<PackArena>,
     /// Outgoing-link progress state for nonblocking sends ([`Env::isend`]).
@@ -574,6 +575,12 @@ impl Env {
         (0..self.nprocs)
             .filter(|&r| !self.is_rank_dead(r))
             .collect()
+    }
+
+    /// The lowest rank alive under the current fault plan, found without
+    /// listing the others; `None` only if every rank is dead.
+    pub(crate) fn lowest_alive_rank(&self) -> Option<usize> {
+        (0..self.nprocs).find(|&r| !self.is_rank_dead(r))
     }
 
     /// Current local clock reading.
@@ -767,7 +774,7 @@ impl Env {
         } else {
             0
         };
-        let timed_deaths = self.plan.as_ref().is_some_and(FaultPlan::has_timed_deaths);
+        let timed_deaths = self.plan.as_ref().is_some_and(|p| p.has_timed_deaths());
         let mut attempt: u32 = 0;
         loop {
             let fate = self
@@ -1048,7 +1055,7 @@ impl Env {
     /// Opportunistically drain delivery confirmations from `dst`. The
     /// fault plan already told the sender everything the acks would (the
     /// decisions are shared), so these only sanity-check the protocol.
-    fn drain_acks(&mut self, dst: usize) {
+    fn drain_acks(&self, dst: usize) {
         let sent = self.send_seq.get(&dst).copied().unwrap_or(0);
         while let Some(ack) = self.fabric.pop_ack(self.rank, dst) {
             debug_assert!(
@@ -1064,11 +1071,12 @@ impl Env {
         &self.ledger
     }
 
-    /// Finalize the rank: drain stray acks, fold arena statistics into the
+    /// Finalize the rank: drain stray acks on the links this rank sent on
+    /// (acks only ever arrive there), fold arena statistics into the
     /// metrics registry and close out the trace (when tracing).
     fn into_parts(mut self) -> (PhaseLedger, Option<RankTrace>) {
         if self.plan.is_some() {
-            for dst in 0..self.nprocs {
+            for &dst in self.send_seq.keys() {
                 self.drain_acks(dst);
             }
         }
@@ -1442,6 +1450,42 @@ pub(crate) mod tests {
         assert!(ledgers[0].faults().is_quiet());
     }
 
+    #[test]
+    fn ack_drain_on_own_links_keeps_ledgers_and_acks() {
+        // Under a quiet plan at p = 4, rank 2 sends to rank 1 only, and the
+        // other two ranks stay idle. Finishing drains acks on rank 2's one
+        // link; every ledger must equal the same exchange on a two-rank
+        // machine (or a fresh ledger for the idle ranks), with one ack per
+        // message on the receiver.
+        fn exchange(env: &mut Env, from: usize, to: usize) -> RankTask<'_, ()> {
+            Box::pin(async move {
+                if env.rank() == from {
+                    for i in 0..3u64 {
+                        let mut b = PackBuffer::new();
+                        b.push_u64(i);
+                        env.phase(Phase::Send, |env| env.send(to, b)).unwrap();
+                    }
+                } else if env.rank() == to {
+                    for i in 0..3u64 {
+                        let msg = env.recv_async(from).await.unwrap();
+                        assert_eq!(msg.payload.cursor().read_u64(), i);
+                    }
+                }
+            })
+        }
+        let m4 = Multicomputer::virtual_machine(4, model()).with_faults(quiet_plan());
+        let (_, four) = tasks(&m4, |env| exchange(env, 2, 1));
+        let m2 = Multicomputer::virtual_machine(2, model()).with_faults(quiet_plan());
+        let (_, two) = tasks(&m2, |env| exchange(env, 0, 1));
+        assert_eq!(four[2], two[0]);
+        assert_eq!(four[1], two[1]);
+        assert_eq!(four[0], PhaseLedger::new());
+        assert_eq!(four[3], PhaseLedger::new());
+        assert_eq!(four[1].faults().acks, 3);
+        assert!(four[2].faults().is_quiet());
+        assert_eq!(four, tasks(&m4, |env| exchange(env, 2, 1)).1);
+    }
+
     /// Rank 0 sends `n` one-`u64` messages carrying `0..n` to rank 1 (as
     /// nonblocking posts drained once when `nonblocking`); rank 1 returns
     /// what it received, in order.
@@ -1724,6 +1768,10 @@ pub(crate) mod tests {
             alive.iter().map(|(_, dead)| *dead).collect::<Vec<_>>(),
             vec![true, false, true, false]
         );
+        assert_eq!(m.run(|env| env.lowest_alive_rank()), vec![Some(1); 4]);
+        let all_dead = FaultPlan::new(0).with_dead_rank(0).with_dead_rank(1);
+        let m = Multicomputer::virtual_machine(2, model()).with_faults(all_dead);
+        assert_eq!(m.run(|env| env.lowest_alive_rank()), vec![None; 2]);
     }
 
     // ---- nonblocking sends (isend / wait_all) ----
