@@ -23,9 +23,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A seeded `rows × cols` array with roughly one nonzero in four cells,
-/// some rows left entirely empty.
-fn seeded_dense(rows: usize, cols: usize, seed: u64) -> Dense2D {
+/// A seeded `rows × cols` array whose cells are nonzero with probability
+/// `density`, with one row left entirely empty and one (unless it is the
+/// same row) filled entirely.
+fn seeded_dense(rows: usize, cols: usize, seed: u64, density: f64) -> Dense2D {
     let mut state = seed
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
@@ -36,10 +37,12 @@ fn seeded_dense(rows: usize, cols: usize, seed: u64) -> Dense2D {
         state >> 33
     };
     let empty_row = next() as usize % rows;
+    let full_row = next() as usize % rows;
     let data = (0..rows * cols)
         .map(|i| {
             let x = next();
-            if i / cols == empty_row || x % 4 != 0 {
+            let r = i / cols;
+            if r == empty_row || (r != full_row && (x % 1024) as f64 >= density * 1024.0) {
                 0.0
             } else {
                 (x % 97) as f64 - 48.5
@@ -47,6 +50,20 @@ fn seeded_dense(rows: usize, cols: usize, seed: u64) -> Dense2D {
         })
         .collect();
     Dense2D::from_vec(rows, cols, data)
+}
+
+/// An input's `(rows, cols, density)`: the narrow regime, where every scan
+/// segment is shorter than one 64-cell chunk, or the wide one, where
+/// segments span one to three chunks at densities from empty to full.
+fn input(narrow: usize) -> impl Strategy<Value = (usize, usize, f64)> {
+    prop_oneof![
+        (1..narrow, 1..narrow, Just(0.25)),
+        (
+            1usize..140,
+            1usize..140,
+            prop_oneof![Just(0.02), Just(0.25), Just(1.0), 0.0..1.0],
+        ),
+    ]
 }
 
 /// Every partition family over `a`, with `p` as the part-count knob.
@@ -481,11 +498,10 @@ proptest! {
 
     #[test]
     fn from_dense_matches_the_whole_array_scan(
-        rows in 1usize..20,
-        cols in 1usize..20,
+        (rows, cols, density) in input(20),
         seed in 0u64..1_000_000,
     ) {
-        let a = seeded_dense(rows, cols, seed);
+        let a = seeded_dense(rows, cols, seed, density);
         for kind in [CompressKind::Crs, CompressKind::Ccs] {
             let (streams, want_ops) = ref_scan_cells(&a, (rows, cols), &|r, c| (r, c), kind, &|_| true);
             let mut ops = OpCounter::new();
@@ -500,12 +516,11 @@ proptest! {
 
     #[test]
     fn part_scans_match_the_per_cell_reference(
-        rows in 1usize..14,
-        cols in 1usize..14,
+        (rows, cols, density) in input(14),
         p in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
-        let a = seeded_dense(rows, cols, seed);
+        let a = seeded_dense(rows, cols, seed, density);
         for part in partitions(&a, p) {
             check_local_scans(&a, part.as_ref());
             check_map_lookups(&a, part.as_ref());
@@ -514,12 +529,11 @@ proptest! {
 
     #[test]
     fn scheme_scans_match_the_per_cell_reference(
-        rows in 1usize..12,
-        cols in 1usize..12,
+        (rows, cols, density) in input(12),
         p in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
-        let a = seeded_dense(rows, cols, seed);
+        let a = seeded_dense(rows, cols, seed, density);
         for part in partitions(&a, p) {
             check_schemes(&a, part.as_ref());
         }
