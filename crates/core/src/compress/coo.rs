@@ -101,8 +101,12 @@ impl Coo {
         self.entries.sort_by_key(|a| (a.0, a.1));
     }
 
-    /// Check bounds and duplicates.
+    /// Check bounds and duplicates. Entries in strictly increasing
+    /// row-major order cannot repeat, so only other orders pay for the
+    /// sorted copy that finds duplicates.
     pub fn validate(&self) -> Result<(), CooError> {
+        let mut increasing = true;
+        let mut prev = None;
         for (pos, &(r, c, _)) in self.entries.iter().enumerate() {
             if r >= self.rows || c >= self.cols {
                 return Err(CooError::OutOfBounds {
@@ -111,6 +115,11 @@ impl Coo {
                     col: c,
                 });
             }
+            increasing &= prev < Some((r, c));
+            prev = Some((r, c));
+        }
+        if increasing {
+            return Ok(());
         }
         let mut sorted: Vec<(usize, usize)> =
             self.entries.iter().map(|&(r, c, _)| (r, c)).collect();
@@ -202,6 +211,41 @@ mod tests {
     fn validate_catches_duplicates() {
         let coo = Coo::from_entries(2, 2, vec![(1, 1, 1.0), (0, 0, 2.0), (1, 1, 3.0)]);
         assert_eq!(coo.validate(), Err(CooError::Duplicate { row: 1, col: 1 }));
+    }
+
+    #[test]
+    fn validate_finds_duplicates_in_sorted_input() {
+        let coo = Coo::from_entries(
+            3,
+            3,
+            vec![(0, 1, 1.0), (1, 1, 2.0), (1, 1, 3.0), (2, 0, 4.0)],
+        );
+        assert_eq!(coo.validate(), Err(CooError::Duplicate { row: 1, col: 1 }));
+        let sorted = Coo::from_entries(
+            3,
+            3,
+            vec![(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0), (2, 0, 4.0)],
+        );
+        assert_eq!(sorted.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_reports_out_of_bounds_before_duplicates() {
+        for entries in [
+            vec![(0, 0, 1.0), (0, 0, 2.0), (2, 1, 3.0)],
+            vec![(1, 1, 1.0), (0, 0, 2.0), (1, 1, 3.0), (0, 7, 4.0)],
+        ] {
+            let at = entries.len() - 1;
+            let (row, col, _) = entries[at];
+            assert_eq!(
+                Coo::from_entries(2, 2, entries).validate(),
+                Err(CooError::OutOfBounds {
+                    position: at,
+                    row,
+                    col
+                })
+            );
+        }
     }
 
     #[test]
