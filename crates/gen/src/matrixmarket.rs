@@ -54,6 +54,10 @@ fn parse_err(line: usize, reason: impl Into<String>) -> MmError {
     }
 }
 
+/// Entry-section text per parse thread, at least: below about 1 MiB a
+/// thread costs more than the share of float parsing it takes over.
+const MIN_CHUNK_BYTES: usize = 1 << 20;
+
 /// Parse a MatrixMarket `coordinate real general` document.
 ///
 /// `pattern` matrices get value 1.0 per entry; `symmetric` matrices are
@@ -63,9 +67,20 @@ fn parse_err(line: usize, reason: impl Into<String>) -> MmError {
 /// Fields split where [`str::split_whitespace`] splits and lines end at
 /// `\n`, as in [`str::lines`]. Values must be finite: `NaN`, `inf` and
 /// literals that overflow `f64` are parse errors on their line. The
-/// entry storage is reserved once, from the size line's count but never
-/// past one entry per 4 bytes of text.
+/// entry section is parsed in chunks of whole lines, one per host core
+/// and at least about 1 MiB each; the result, and on failure the first
+/// error by line, equal a one-chunk parse. Each chunk reserves its storage
+/// once, from its byte share of the size line's count but never past one
+/// entry per 4 bytes of its text.
 pub fn parse(text: &str) -> Result<Coo, MmError> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    parse_in(text, cores.min(text.len() / MIN_CHUNK_BYTES))
+}
+
+/// [`parse`] with the entry section cut into at most `chunks` chunks (at
+/// least one). Chunk 0 is parsed on the calling thread, the rest on scoped
+/// threads.
+pub(crate) fn parse_in(text: &str, chunks: usize) -> Result<Coo, MmError> {
     let last_line = || text.lines().count();
     let mut lines = text.lines().enumerate();
 
@@ -115,18 +130,119 @@ pub fn parse(text: &str) -> Result<Coo, MmError> {
     let (size_line, rows, cols, nnz) =
         size.ok_or_else(|| parse_err(last_line(), "missing size line"))?;
 
-    let pattern = field == "pattern";
-    let symmetric = symmetry == "symmetric";
-    let want = if pattern { 2 } else { 3 };
-    // An entry line takes at least 4 bytes ("1 1\n"), so the text, not the
-    // size line, bounds the reservation.
-    let cap = nnz.min(text.len() / 4);
-    let mut entries = Vec::with_capacity(if symmetric { 2 * cap } else { cap });
+    let shape = Shape {
+        rows,
+        cols,
+        pattern: field == "pattern",
+        symmetric: symmetry == "symmetric",
+    };
     let mut cur = Cursor { text, pos: 0 };
     for _ in 0..=size_line {
         cur.skip_line();
     }
-    let mut line = size_line + 1;
+    let section = &text[cur.pos..];
+    let parts = split_lines(section, chunks);
+    // A chunk's byte share of the size line's count is an estimate: the
+    // first chunk of a row-major file has the shortest indices, so more
+    // lines per byte. An eighth more keeps it from doubling its storage
+    // for the last few entries. An entry line takes at least 4 bytes
+    // ("1 1\n"), so the text, not the size line, bounds each reservation.
+    let cap = |part: &str| {
+        let share = nnz as u128 * part.len() as u128 / section.len().max(1) as u128;
+        let slack = if parts.len() > 1 { share / 8 } else { 0 };
+        usize::try_from(share + slack)
+            .unwrap_or(usize::MAX)
+            .min(part.len() / 4)
+    };
+    let results: Vec<_> = std::thread::scope(|s| {
+        let rest: Vec<_> = parts[1..]
+            .iter()
+            .map(|&part| s.spawn(move || parse_chunk(part, shape, cap(part))))
+            .collect();
+        let first = parse_chunk(parts[0], shape, cap(parts[0]));
+        std::iter::once(first)
+            .chain(rest.into_iter().map(|t| {
+                t.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }))
+            .collect()
+    });
+
+    // The first failing chunk holds the first failing line.
+    let parsed = results
+        .into_iter()
+        .enumerate()
+        .map(|(i, result)| {
+            result.map_err(|(line, reason)| {
+                // Every earlier chunk ends in `\n`.
+                let before: usize = parts[..i].iter().map(|p| p.matches('\n').count()).sum();
+                parse_err(size_line + 1 + before + line, reason)
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let seen: usize = parsed.iter().map(|c| c.seen).sum();
+    if seen != nnz {
+        return Err(parse_err(
+            last_line(),
+            format!("header promised {nnz} entries, found {seen}"),
+        ));
+    }
+    let total: usize = parsed.iter().map(|c| c.entries.len()).sum();
+    let mut parsed = parsed.into_iter().map(|c| c.entries);
+    let mut entries = parsed.next().unwrap_or_default();
+    entries.reserve_exact(total - entries.len());
+    for more in parsed {
+        entries.extend(more);
+    }
+    Ok(Coo::from_entries(rows, cols, entries))
+}
+
+/// What the header and size line fix for every entry line.
+#[derive(Clone, Copy)]
+struct Shape {
+    rows: usize,
+    cols: usize,
+    pattern: bool,
+    symmetric: bool,
+}
+
+/// Cut `section` after `\n` bytes into at most `k` chunks of about equal
+/// length, each but the last ending in `\n`. Always at least one chunk.
+fn split_lines(section: &str, k: usize) -> Vec<&str> {
+    let mut parts = Vec::with_capacity(k.max(1));
+    let mut rest = section;
+    for left in (2..=k).rev() {
+        let target = rest.len() / left;
+        let Some(nl) = rest.as_bytes()[target..].iter().position(|&b| b == b'\n') else {
+            break;
+        };
+        let (part, tail) = rest.split_at(target + nl + 1);
+        parts.push(part);
+        rest = tail;
+    }
+    parts.push(rest);
+    parts
+}
+
+/// The entries of one chunk, and how many entry lines it held.
+struct Chunk {
+    entries: Vec<(usize, usize, f64)>,
+    seen: usize,
+}
+
+/// Parse one chunk of whole entry lines, the last possibly without its
+/// `\n`. An error is the chunk's 1-based line number and the reason.
+fn parse_chunk(text: &str, shape: Shape, cap: usize) -> Result<Chunk, (usize, String)> {
+    let Shape {
+        rows,
+        cols,
+        pattern,
+        symmetric,
+    } = shape;
+    let want = if pattern { 2 } else { 3 };
+    let mut entries = Vec::with_capacity(if symmetric { 2 * cap } else { cap });
+    let mut cur = Cursor { text, pos: 0 };
+    let mut line = 0;
     let mut seen = 0usize;
     while cur.pos < text.len() {
         line += 1;
@@ -147,27 +263,23 @@ pub fn parse(text: &str) -> Result<Coo, MmError> {
         if n == 0 {
             continue;
         }
+        let err = |reason: &str| (line, reason.to_string());
         if n != want {
-            return Err(parse_err(line, format!("entry must have {want} fields")));
+            return Err(err(&format!("entry must have {want} fields")));
         }
-        let r: usize = tok[0]
-            .parse()
-            .map_err(|_| parse_err(line, "bad row index"))?;
-        let c: usize = tok[1]
-            .parse()
-            .map_err(|_| parse_err(line, "bad col index"))?;
+        let r: usize = tok[0].parse().map_err(|_| err("bad row index"))?;
+        let c: usize = tok[1].parse().map_err(|_| err("bad col index"))?;
         if r == 0 || c == 0 || r > rows || c > cols {
-            return Err(parse_err(
-                line,
-                format!("index ({r},{c}) out of 1..={rows} x 1..={cols}"),
-            ));
+            return Err(err(&format!(
+                "index ({r},{c}) out of 1..={rows} x 1..={cols}"
+            )));
         }
         let v: f64 = if pattern {
             1.0
         } else {
-            let v: f64 = tok[2].parse().map_err(|_| parse_err(line, "bad value"))?;
+            let v: f64 = tok[2].parse().map_err(|_| err("bad value"))?;
             if !v.is_finite() {
-                return Err(parse_err(line, "value is not finite"));
+                return Err(err("value is not finite"));
             }
             v
         };
@@ -177,13 +289,7 @@ pub fn parse(text: &str) -> Result<Coo, MmError> {
         }
         seen += 1;
     }
-    if seen != nnz {
-        return Err(parse_err(
-            last_line(),
-            format!("header promised {nnz} entries, found {seen}"),
-        ));
-    }
-    Ok(Coo::from_entries(rows, cols, entries))
+    Ok(Chunk { entries, seen })
 }
 
 /// A byte cursor over a document. `\n` ends a line, as in [`str::lines`];
@@ -481,6 +587,177 @@ mod tests {
                 "{lit}"
             );
         }
+    }
+
+    fn outcome(doc: &str, chunks: usize) -> Result<Coo, String> {
+        parse_in(doc, chunks).map_err(|e| e.to_string())
+    }
+
+    /// `doc` parses to the same result or error string in any chunk count.
+    fn assert_chunk_invariant(doc: &str) -> Result<Coo, String> {
+        let one = outcome(doc, 1);
+        for chunks in [2, 3, 4, 7] {
+            assert_eq!(outcome(doc, chunks), one, "{chunks} chunks of {doc:?}");
+        }
+        one
+    }
+
+    /// The documents of `entry_section_corpus_is_pinned`.
+    #[test]
+    fn entry_section_corpus_parses_alike_in_chunks() {
+        const REAL: &str = "%%MatrixMarket matrix coordinate real general\n";
+        const PATTERN: &str = "%%MatrixMarket matrix coordinate pattern general\n";
+        let docs = [
+            format!("{REAL}2 2 2\n1\t1\t1.5\n2\t2 2.5\t\n"),
+            format!("{REAL}2 2 1\n2\x0B1\x0B-3\x0B\n"),
+            format!("{REAL}2 2 2\n1\r2\r0.5\r\n2 1 4\r"),
+            "%%MatrixMarket matrix coordinate real general\r\n% c\r\n2 2 1\r\n1 2 7\r\n"
+                .to_string(),
+            format!("{REAL}2 2 1\n\u{A0}1\u{A0}2\u{A0}8\u{A0}\n"),
+            format!("{REAL}2 2 1\n2\u{3000}2\u{3000}1e-3\u{3000}\n"),
+            format!(
+                "{REAL}3 3 2\n1 1 1\n% between\n\n \t\n  % indented\n\u{A0}%nbsp\n3 3 3\n% end\n"
+            ),
+            format!("{REAL}3 3 1\n+3 +1 +2.5\n"),
+            format!("{PATTERN}2 3 2\n1 3\n2 1\n"),
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 5\n3 1 7\n".to_string(),
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n".to_string(),
+            "%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 2 -4\n".to_string(),
+            format!("{REAL}2 2 2\n1 1 1\n% c\n1 2 1.5 9\n"),
+            format!("{REAL}2 2 1\n1 1\n"),
+            format!("{PATTERN}2 2 1\n1 1 1\n"),
+            format!("{PATTERN}2 2 1\n\u{A0}1\u{A0}\n"),
+            format!("{REAL}2 2 1\n0 1 x\n"),
+            format!("{REAL}2 2 1\n2 3 1.0\n"),
+            format!("{REAL}2 2 1\n1 1 x\n"),
+            format!("{REAL}2 2 1\n-1 y 1.0\n"),
+            format!("{REAL}2 2 1\n1 +-1 1.0\n"),
+            format!("{REAL}2 2 1000000000000000\n1 1 1.0\n"),
+        ];
+        for doc in &docs {
+            let got = assert_chunk_invariant(doc);
+            assert_eq!(got, parse(doc).map_err(|e| e.to_string()), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn chunks_may_start_on_comments_and_blank_lines() {
+        let doc = "%%MatrixMarket matrix coordinate real general\n4 4 4\n\
+                   1 1 1\n% c\n2 2 2\n\n3 3 3\r\n% d\n4 4 4";
+        let section = &doc[doc.find("1 1 1").unwrap()..];
+        let starts: Vec<char> = (1..=8)
+            .flat_map(|k| split_lines(section, k))
+            .filter_map(|part| part.chars().next())
+            .collect();
+        assert!(
+            starts.contains(&'%') && starts.contains(&'\n'),
+            "{starts:?}"
+        );
+        let coo = outcome(doc, 1).unwrap();
+        assert_eq!(coo.entries().last(), Some(&(3, 3, 4.0)));
+        for k in 2..=8 {
+            assert_eq!(outcome(doc, k), Ok(coo.clone()), "{k} chunks");
+        }
+    }
+
+    #[test]
+    fn chunks_rejoin_the_whole_section() {
+        let section = "1 1 1\r\n% c\n\n2 2 2\n\u{A0}3 3 3\n4 4 4";
+        for k in 1..=9 {
+            let parts = split_lines(section, k);
+            assert!((1..=k.max(1)).contains(&parts.len()), "{k}: {parts:?}");
+            assert!(parts[..parts.len() - 1].iter().all(|p| p.ends_with('\n')));
+            assert_eq!(parts.concat(), section, "{k}");
+        }
+        assert_eq!(split_lines("", 4), [""]);
+    }
+
+    #[test]
+    fn the_earlier_of_two_failing_chunks_wins() {
+        let mut doc =
+            String::from("%%MatrixMarket matrix coordinate real general\n% c\n20 20 20\n");
+        for i in 1..=20 {
+            match i {
+                3 => doc.push_str("3 3 x\n"),
+                18 => doc.push_str("18 18 NaN\n"),
+                _ => doc.push_str(&format!("{i} {i} {i}\n")),
+            }
+        }
+        let section = &doc[doc.find("1 1 1").unwrap()..];
+        let parts = split_lines(section, 2);
+        assert!(
+            parts[0].contains(" x\n") && parts[1].contains("NaN"),
+            "{parts:?}"
+        );
+        for k in 1..=8 {
+            assert_eq!(
+                outcome(&doc, k).unwrap_err(),
+                "parse error on line 6: bad value",
+                "{k} chunks"
+            );
+        }
+        // Alone, the later error is named by its own line in any chunk.
+        let later = doc.replace("3 3 x", "3 3 3");
+        for k in 1..=8 {
+            assert_eq!(
+                outcome(&later, k).unwrap_err(),
+                "parse error on line 21: value is not finite",
+                "{k} chunks"
+            );
+        }
+    }
+
+    /// The token set of the root suite's seeded corruption fuzz; here every
+    /// corrupted document must parse alike in any chunk count.
+    #[test]
+    fn seeded_corruptions_parse_alike_in_chunks() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const TOKENS: [&str; 18] = [
+            "\t",
+            "\x0B",
+            "\r",
+            "\r\n",
+            "\n",
+            " ",
+            "\u{A0}",
+            "\u{3000}",
+            "é",
+            "+",
+            "-",
+            "%",
+            "1e400",
+            "NaN",
+            "inf",
+            "0",
+            "99999999999999999999",
+            "x",
+        ];
+        let a = crate::SparseRandom::new(64, 64)
+            .sparse_ratio(0.1)
+            .seed(5)
+            .generate();
+        let clean = render(&Coo::from_dense(&a));
+        let mut rng = StdRng::seed_from_u64(0x4D4D_C4A7);
+        let mut accepted = 0;
+        for _ in 0..1000 {
+            let mut doc = clean.clone();
+            for _ in 0..rng.random_range(1..=3usize) {
+                let mut at = rng.random_range(0..doc.len() + 1);
+                while !doc.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let next = doc[at..].chars().next().map_or(0, char::len_utf8);
+                let tok = TOKENS[rng.random_range(0..TOKENS.len())];
+                match rng.random_range(0..3usize) {
+                    0 => doc.insert_str(at, tok),
+                    1 => doc.replace_range(at..at + next, tok),
+                    _ => doc.replace_range(at..at + next, ""),
+                }
+            }
+            accepted += usize::from(assert_chunk_invariant(&doc).is_ok());
+        }
+        assert!((1..1000).contains(&accepted), "accepted {accepted} of 1000");
     }
 
     #[test]
