@@ -16,7 +16,6 @@
 //! * [`transpose`] — CRS↔CCS conversions (transposition in disguise);
 //! * [`solve`] — Jacobi and conjugate-gradient solvers whose matrix-vector
 //!   products run distributed;
-//! * [`spgemm`] — Gustavson row-wise sparse matrix-matrix multiplication;
 //! * [`distributed`] — operations on the distributed representation
 //!   itself: scale, add, Frobenius norm (allreduce) and a no-gather
 //!   distributed transpose.
@@ -24,6 +23,5 @@
 pub mod distributed;
 pub mod elementwise;
 pub mod solve;
-pub mod spgemm;
 pub mod spmv;
 pub mod transpose;
