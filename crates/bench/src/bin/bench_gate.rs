@@ -4,7 +4,8 @@
 //! baseline and fails (exit 1) if any tracked metric regressed by more
 //! than the threshold (default 10%). Tracked metrics are the numeric
 //! leaves whose key ends in `_bytes` (wire volume — bytes per element is
-//! proportional at fixed n/s) or `_us` (measured host time). Lower is
+//! proportional at fixed n/s) or `_us` (virtual time in microseconds;
+//! host wall times are written as `_ms` and not gated). Lower is
 //! better for both; new keys appear and old keys disappear without
 //! failing the gate, so adding a scheme or sparsity point never blocks CI.
 //!

@@ -32,8 +32,7 @@ USAGE:
   sparsedist distribute FILE.mtx [--scheme sfc|cfs|ed] [--partition row|column|mesh|rowcyclic|colcyclic]
                          [--procs P] [--grid RxC] [--kind crs|ccs] [--model sp2|compute|network]
                          [--timeline yes] [--faults SPEC] [--retries N]
-                         [--wire v1|v2|v3] [--codec auto|raw|delta|packed]
-                         [--parallel yes] [--overlap yes]
+                         [--wire v1|v3] [--codec auto|raw|delta|packed] [--overlap yes]
                          [--chunk-elems N] [--streams yes] [--trace OUT.json]
 
   --faults takes comma-separated key=value tokens, e.g.
@@ -52,13 +51,12 @@ USAGE:
   goes up to 131072 on every subcommand.
   sparsedist trace FILE.mtx [--scheme …] [--partition …] [--procs P] [--grid RxC]
                          [--kind …] [--model …] [--faults SPEC] [--retries N]
-                         [--wire …] [--codec …] [--parallel yes] [--overlap yes]
+                         [--wire …] [--codec …] [--overlap yes]
                          [--chunk-elems N] [--width N]
                          [--out TRACE.json] [--metrics METRICS.json]
   sparsedist chaos [--seeds N] [--procs P] [--rows N] [--ratio S]
                          [--scheme sfc|cfs|ed|all] [--retries N]
-                         [--wire v1|v2|v3] [--codec auto|raw|delta|packed]
-                         [--parallel yes] [--overlap yes]
+                         [--wire v1|v3] [--codec auto|raw|delta|packed] [--overlap yes]
                          [--chunk-elems N]
 
   chaos sweeps N deterministically seeded fault plans (drops, corruption,
@@ -117,9 +115,8 @@ fn parse_kind(s: &str) -> Result<CompressKind, CmdError> {
 fn parse_wire(s: &str) -> Result<WireFormat, CmdError> {
     match s {
         "v1" => Ok(WireFormat::V1),
-        "v2" => Ok(WireFormat::V2),
         "v3" => Ok(WireFormat::V3),
-        other => Err(format!("unknown wire format '{other}' (v1|v2|v3)")),
+        other => Err(format!("unknown wire format '{other}' (v1|v3)")),
     }
 }
 
@@ -313,7 +310,6 @@ pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
     let config = SchemeConfig {
         wire,
         codec,
-        parallel: p.flag_or("parallel", "no") == "yes",
         overlap: p.flag_or("overlap", "no") == "yes",
         chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
     };
@@ -480,7 +476,6 @@ pub fn trace_cmd(p: &Parsed) -> Result<String, CmdError> {
     let config = SchemeConfig {
         wire,
         codec: parse_codec(p.flag_or("codec", "packed"))?,
-        parallel: p.flag_or("parallel", "no") == "yes",
         overlap: p.flag_or("overlap", "no") == "yes",
         chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
     };
@@ -536,7 +531,6 @@ pub fn chaos_cmd(p: &Parsed) -> Result<String, CmdError> {
     let config = SchemeConfig {
         wire: parse_wire(p.flag_or("wire", "v1"))?,
         codec: parse_codec(p.flag_or("codec", "packed"))?,
-        parallel: p.flag_or("parallel", "no") == "yes",
         overlap: p.flag_or("overlap", "no") == "yes",
         chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
     };
@@ -1009,45 +1003,8 @@ mod tests {
     }
 
     #[test]
-    fn distribute_wire_v2_saves_bytes_at_equal_virtual_time() {
+    fn distribute_wire_v3_saves_bytes_at_equal_virtual_time() {
         let path = tmp("gen_wire.mtx");
-        crate::run(&argv(&format!(
-            "gen {path} --rows 40 --ratio 0.2 --seed 11"
-        )))
-        .unwrap();
-        let v1 = crate::run(&argv(&format!("distribute {path} --scheme ed --procs 4"))).unwrap();
-        let v2 = crate::run(&argv(&format!(
-            "distribute {path} --scheme ed --procs 4 --wire v2 --parallel yes"
-        )))
-        .unwrap();
-        assert!(v1.contains("wire (v1)"), "{v1}");
-        assert!(v2.contains("wire (v2)"), "{v2}");
-        assert!(v2.contains("verified"), "{v2}");
-        // The cost model charges logical elements, so the virtual times match…
-        let line = |s: &str, key: &str| {
-            s.lines()
-                .find(|l| l.contains(key))
-                .map(str::to_owned)
-                .unwrap()
-        };
-        assert_eq!(line(&v1, "T_Distribution"), line(&v2, "T_Distribution"));
-        // …while the compact format moves fewer bytes for the same elements.
-        let bytes = |s: &str| {
-            let l = line(s, "wire (");
-            l.split_whitespace()
-                .zip(l.split_whitespace().skip(1))
-                .find(|(_, unit)| *unit == "bytes")
-                .map(|(n, _)| n.parse::<u64>().unwrap())
-                .unwrap()
-        };
-        assert!(bytes(&v2) < bytes(&v1), "v1: {v1}\nv2: {v2}");
-
-        assert!(crate::run(&argv(&format!("distribute {path} --wire v9"))).is_err());
-    }
-
-    #[test]
-    fn distribute_wire_v3_beats_v2_bytes_at_equal_virtual_time() {
-        let path = tmp("gen_wire_v3.mtx");
         crate::run(&argv(&format!(
             "gen {path} --rows 40 --ratio 0.2 --seed 11"
         )))
@@ -1067,28 +1024,54 @@ mod tests {
                 .unwrap()
         };
         for scheme in ["cfs", "ed"] {
-            let v2 = crate::run(&argv(&format!(
-                "distribute {path} --scheme {scheme} --procs 4 --wire v2"
+            let v1 = crate::run(&argv(&format!(
+                "distribute {path} --scheme {scheme} --procs 4"
             )))
             .unwrap();
             let v3 = crate::run(&argv(&format!(
                 "distribute {path} --scheme {scheme} --procs 4 --wire v3"
             )))
             .unwrap();
+            assert!(v1.contains("wire (v1)"), "{v1}");
             assert!(v3.contains("wire (v3/packed)"), "{v3}");
             assert!(v3.contains("verified"), "{v3}");
             // The codec moves bytes, never ops: the virtual clock cannot
-            // tell the formats apart while the wire shrinks further.
+            // tell the formats apart while the wire shrinks.
             assert_eq!(
-                line(&v2, "T_Distribution"),
+                line(&v1, "T_Distribution"),
                 line(&v3, "T_Distribution"),
                 "{scheme}"
             );
             assert!(
-                bytes(&v3) < bytes(&v2),
-                "{scheme}: v3 {} !< v2 {}",
+                bytes(&v3) < bytes(&v1),
+                "{scheme}: v3 {} !< v1 {}",
                 bytes(&v3),
-                bytes(&v2)
+                bytes(&v1)
+            );
+        }
+
+        assert!(crate::run(&argv(&format!("distribute {path} --wire v9"))).is_err());
+    }
+
+    #[test]
+    fn retired_wire_v2_and_parallel_flag_are_errors() {
+        let path = tmp("gen_retired.mtx");
+        crate::run(&argv(&format!("gen {path} --rows 16 --ratio 0.2"))).unwrap();
+        for cmd in [
+            format!("distribute {path}"),
+            format!("trace {path}"),
+            "chaos --seeds 1".to_string(),
+        ] {
+            let name = cmd.split_whitespace().next().unwrap();
+            let err = crate::run(&argv(&format!("{cmd} --wire v2"))).unwrap_err();
+            assert!(
+                err.contains("'v2'") && err.contains("(v1|v3)"),
+                "{cmd}: {err}"
+            );
+            let err = crate::run(&argv(&format!("{cmd} --parallel yes"))).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{name} does not take --parallel; accepted: ")),
+                "{cmd}: {err}"
             );
         }
     }

@@ -28,19 +28,19 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "distribute",
         commands::distribute,
-        "scheme partition procs grid kind model faults retries wire codec parallel \
-         overlap chunk-elems timeline streams trace",
+        "scheme partition procs grid kind model faults retries wire codec overlap \
+         chunk-elems timeline streams trace",
     ),
     (
         "trace",
         commands::trace_cmd,
-        "scheme partition procs grid kind model faults retries wire codec parallel \
-         overlap chunk-elems width out metrics",
+        "scheme partition procs grid kind model faults retries wire codec overlap \
+         chunk-elems width out metrics",
     ),
     (
         "chaos",
         commands::chaos_cmd,
-        "seeds procs rows ratio scheme retries wire codec parallel overlap chunk-elems",
+        "seeds procs rows ratio scheme retries wire codec overlap chunk-elems",
     ),
     (
         "simcheck",

@@ -4,9 +4,7 @@
 //! for workload generators and MatrixMarket files in `sparsedist-gen`, and
 //! a convenient intermediate for building test arrays.
 
-use super::{Ccs, Crs};
 use crate::dense::Dense2D;
-use crate::opcount::OpCounter;
 use std::fmt;
 
 /// A sparse array as a list of `(row, col, value)` triplets.
@@ -148,17 +146,6 @@ impl Coo {
         out
     }
 
-    /// Convert to CRS (sorts a copy of the entries; duplicates must have
-    /// been resolved).
-    pub fn to_crs(&self) -> Crs {
-        Crs::from_dense(&self.to_dense(), &mut OpCounter::new())
-    }
-
-    /// Convert to CCS.
-    pub fn to_ccs(&self) -> Ccs {
-        Ccs::from_dense(&self.to_dense(), &mut OpCounter::new())
-    }
-
     /// The sparse ratio `nnz / (rows × cols)`.
     pub fn sparse_ratio(&self) -> f64 {
         if self.rows * self.cols == 0 {
@@ -246,14 +233,6 @@ mod tests {
                 })
             );
         }
-    }
-
-    #[test]
-    fn conversions_agree() {
-        let a = paper_array_a();
-        let coo = Coo::from_dense(&a);
-        assert_eq!(coo.to_crs().to_dense(), a);
-        assert_eq!(coo.to_ccs().to_dense(), a);
     }
 
     #[test]

@@ -101,9 +101,7 @@ pub fn decode_part(
 /// wire-aware core behind [`decode_part`].
 ///
 /// The message header is validated first ([`crate::compress::CompressError::WireHeader`]
-/// on mismatch) and names the codec that actually wrote the stream, so a
-/// v3-configured receiver also accepts a v2 stream from an older sender.
-/// Op accounting is identical in every format.
+/// on mismatch). Op accounting is identical in every format.
 ///
 /// # Errors
 /// Same as [`decode_part`], plus [`crate::compress::CompressError::WireHeader`] for a
@@ -126,8 +124,9 @@ pub fn decode_part_wire(
     let bound = converter.local_index_bound(kind);
 
     let mut cursor = buf.cursor();
-    let head = wire::codec_for(format).open_message(&mut cursor)?;
-    let (pointer, raw_indices, values) = head.codec.decode_pairs(&mut cursor, outer, head.desc)?;
+    let codec = wire::codec_for(format);
+    let desc = codec.open_message(&mut cursor)?;
+    let (pointer, raw_indices, values) = codec.decode_pairs(&mut cursor, outer, desc)?;
 
     ops.tick(); // pointer[0] initialisation (the formulas' trailing +1)
     let mut indices = Vec::with_capacity(raw_indices.len());
@@ -313,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_formats_round_trip_with_same_elements_and_fewer_bytes() {
+    fn compact_format_round_trips_with_same_elements_and_fewer_bytes() {
         let a = paper_array_a();
         let parts: Vec<Box<dyn Partition>> = vec![
             Box::new(RowBlock::new(10, 8, 4)),
@@ -340,119 +339,52 @@ mod tests {
                     let from_v1 =
                         decode_part(&v1, part.as_ref(), pid, kind, &mut v1_dec_ops).unwrap();
 
-                    for format in [WireFormat::V2, WireFormat::V3] {
-                        let mut compact = PackBuffer::new();
-                        let mut ops = OpCounter::new();
-                        encode_part_into(
-                            &mut compact,
-                            &a,
-                            part.as_ref(),
-                            pid,
-                            kind,
-                            &WirePolicy::of(format),
-                            &mut ops,
-                        );
-                        assert_eq!(
-                            compact.elem_count(),
-                            v1.elem_count(),
-                            "{format}: elements are format-free"
-                        );
-                        assert_eq!(
-                            ops.get(),
-                            v1_ops.get(),
-                            "{format}: op accounting is format-free"
-                        );
-                        assert!(
-                            compact.byte_len() < v1.byte_len(),
-                            "{} {kind} part {pid}: {format} {} !< v1 {}",
-                            part.name(),
-                            compact.byte_len(),
-                            v1.byte_len()
-                        );
-                        let mut dec_ops = OpCounter::new();
-                        let decoded = decode_part_wire(
-                            &compact,
-                            part.as_ref(),
-                            pid,
-                            kind,
-                            format,
-                            &mut dec_ops,
-                        )
-                        .unwrap();
-                        assert_eq!(decoded, from_v1, "{format}: decoded state is format-free");
-                        assert_eq!(
-                            dec_ops.get(),
-                            v1_dec_ops.get(),
-                            "{format}: decode ops are format-free"
-                        );
-                    }
+                    let format = WireFormat::V3;
+                    let mut compact = PackBuffer::new();
+                    let mut ops = OpCounter::new();
+                    encode_part_into(
+                        &mut compact,
+                        &a,
+                        part.as_ref(),
+                        pid,
+                        kind,
+                        &WirePolicy::of(format),
+                        &mut ops,
+                    );
+                    assert_eq!(
+                        compact.elem_count(),
+                        v1.elem_count(),
+                        "{format}: elements are format-free"
+                    );
+                    assert_eq!(
+                        ops.get(),
+                        v1_ops.get(),
+                        "{format}: op accounting is format-free"
+                    );
+                    assert!(
+                        compact.byte_len() < v1.byte_len(),
+                        "{} {kind} part {pid}: {format} {} !< v1 {}",
+                        part.name(),
+                        compact.byte_len(),
+                        v1.byte_len()
+                    );
+                    let mut dec_ops = OpCounter::new();
+                    let decoded =
+                        decode_part_wire(&compact, part.as_ref(), pid, kind, format, &mut dec_ops)
+                            .unwrap();
+                    assert_eq!(decoded, from_v1, "{format}: decoded state is format-free");
+                    assert_eq!(
+                        dec_ops.get(),
+                        v1_dec_ops.get(),
+                        "{format}: decode ops are format-free"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn v3_buffers_beat_v2_in_total_bytes() {
-        let a = paper_array_a();
-        let part = RowBlock::new(10, 8, 4);
-        let mut total = [0usize; 2];
-        for (slot, format) in [(0, WireFormat::V2), (1, WireFormat::V3)] {
-            for pid in 0..4 {
-                let mut buf = PackBuffer::new();
-                encode_part_into(
-                    &mut buf,
-                    &a,
-                    &part,
-                    pid,
-                    CompressKind::Crs,
-                    &WirePolicy::of(format),
-                    &mut OpCounter::new(),
-                );
-                total[slot] += buf.byte_len();
-            }
-        }
-        assert!(total[1] < total[0], "v3 {} !< v2 {}", total[1], total[0]);
-    }
-
-    #[test]
-    fn v3_decoder_accepts_v2_buffers() {
-        // Mixed-version negotiation at the ED layer: a v3-configured
-        // receiver decodes a v2 sender's stream through the header.
-        let a = paper_array_a();
-        let part = RowBlock::new(10, 8, 4);
-        let mut v2 = PackBuffer::new();
-        encode_part_into(
-            &mut v2,
-            &a,
-            &part,
-            0,
-            CompressKind::Crs,
-            &WirePolicy::of(WireFormat::V2),
-            &mut OpCounter::new(),
-        );
-        let as_v3 = decode_part_wire(
-            &v2,
-            &part,
-            0,
-            CompressKind::Crs,
-            WireFormat::V3,
-            &mut OpCounter::new(),
-        )
-        .unwrap();
-        let as_v2 = decode_part_wire(
-            &v2,
-            &part,
-            0,
-            CompressKind::Crs,
-            WireFormat::V2,
-            &mut OpCounter::new(),
-        )
-        .unwrap();
-        assert_eq!(as_v3, as_v2);
-    }
-
-    #[test]
-    fn v2_decode_rejects_headerless_stream() {
+    fn v3_decode_rejects_headerless_stream() {
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
         let v1 = encode_part(&a, &part, 0, CompressKind::Crs, &mut OpCounter::new());
@@ -461,7 +393,7 @@ mod tests {
             &part,
             0,
             CompressKind::Crs,
-            WireFormat::V2,
+            WireFormat::V3,
             &mut OpCounter::new(),
         );
         assert!(
@@ -469,7 +401,7 @@ mod tests {
                 err,
                 Err(SparsedistError::Compress(CompressError::WireHeader { .. }))
             ),
-            "a v1 stream read as v2 must fail on the header, got {err:?}"
+            "a v1 stream read as v3 must fail on the header, got {err:?}"
         );
     }
 

@@ -41,7 +41,7 @@ use std::ops::Range;
 /// column maps once instead of calling `to_global` per cell. The property
 /// tests in this module's submodules check those laws for every
 /// implementation.
-pub trait Partition: Sync + std::fmt::Debug {
+pub trait Partition: std::fmt::Debug {
     /// Human-readable method name (e.g. `"row"`).
     fn name(&self) -> &'static str;
 

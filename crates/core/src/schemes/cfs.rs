@@ -48,10 +48,6 @@ impl SchemeStages for Stages<'_> {
         Phase::Unpack
     }
 
-    fn batch_decode_inside_phase(&self) -> bool {
-        false
-    }
-
     fn buf_capacity(&self, _pid: usize) -> usize {
         0
     }

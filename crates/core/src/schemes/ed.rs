@@ -44,10 +44,6 @@ impl SchemeStages for Stages<'_> {
         Phase::Decode
     }
 
-    fn batch_decode_inside_phase(&self) -> bool {
-        true
-    }
-
     fn buf_capacity(&self, pid: usize) -> usize {
         let (lrows, lcols) = self.part.local_shape(pid);
         (lrows + lrows * lcols / 4 + 1) * 8

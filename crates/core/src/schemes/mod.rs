@@ -42,19 +42,14 @@ use std::fmt;
 pub struct SchemeConfig {
     /// Wire layout for every buffer the scheme sends. [`WireFormat::V1`]
     /// (the default) reproduces the seed byte streams exactly;
-    /// [`WireFormat::V2`] negotiates compact index encodings per message;
-    /// [`WireFormat::V3`] adds per-stream codecs chosen by [`Self::codec`].
+    /// [`WireFormat::V3`] compresses each stream with the codec chosen by
+    /// [`Self::codec`].
     pub wire: WireFormat,
     /// Which v3 codec the sender picks per message: a forced codec, or
     /// [`CodecChoice::Auto`] to let the machine's α-β cost model decide
-    /// whether encode CPU beats wire bytes. Ignored under v1/v2, whose
-    /// layouts are fixed by the format.
+    /// whether encode CPU beats wire bytes. Ignored under v1, whose
+    /// layout is fixed by the format.
     pub codec: CodecChoice,
-    /// Encode/compress the per-part buffers on scoped host threads at the
-    /// source (and decode in parallel on receivers owning several parts).
-    /// Per-part op counts are merged in part order and charged once, so
-    /// virtual-time phase totals are bit-identical to the sequential path.
-    pub parallel: bool,
     /// Overlap encode/compress with the transfers: the source sends each
     /// part **as soon as it is encoded** via the engine's nonblocking
     /// [`sparsedist_multicomputer::engine::Env::isend`], draining the NIC
@@ -79,16 +74,6 @@ pub struct SchemeConfig {
 }
 
 impl SchemeConfig {
-    /// The compact, parallel configuration: v2 wire format plus host-side
-    /// parallel encode/compress — the distribution hot path at full tilt.
-    pub fn compact_parallel() -> Self {
-        SchemeConfig {
-            wire: WireFormat::V2,
-            parallel: true,
-            ..SchemeConfig::default()
-        }
-    }
-
     /// The default configuration with communication/compute overlap on.
     pub fn overlapped() -> Self {
         SchemeConfig {
@@ -98,78 +83,25 @@ impl SchemeConfig {
     }
 }
 
-/// Map part ids `0..nparts` through `f`, sequentially or on scoped host
-/// threads, preserving part order in the returned vector and additionally
+/// Map part ids `0..nparts` through `f` in part order, additionally
 /// returning each part's own op count (`counts[pid]`).
 ///
-/// Each part — on either path — counts its ops into a private
-/// [`OpCounter`]; the counts (plain `u64`s, so addition is associative)
-/// are merged into `ops` in part order afterwards. The caller charges the
-/// merged total exactly once, so the virtual clock cannot tell the two
-/// paths apart, and the per-part counts feed the tracing layer's sub-span
-/// attribution identically whether the parts ran sequentially or on host
-/// threads.
-pub(crate) fn map_parts_counted<T: Send>(
+/// Each part counts its ops into a private [`OpCounter`]; the counts are
+/// summed into `ops`, which the caller charges exactly once, and the
+/// per-part counts feed the tracing layer's sub-span attribution.
+pub(crate) fn map_parts_counted<T>(
     nparts: usize,
-    parallel: bool,
     ops: &mut OpCounter,
-    f: &(dyn Fn(usize, &mut OpCounter) -> T + Sync),
+    mut f: impl FnMut(usize, &mut OpCounter) -> T,
 ) -> (Vec<T>, Vec<u64>) {
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(nparts)
-    } else {
-        1
-    };
-    if workers < 2 || nparts < 2 {
-        // Single-core hosts (and single parts) take the sequential path:
-        // threads could only add overhead, and the results are identical
-        // by construction.
-        let mut out = Vec::with_capacity(nparts);
-        let mut counts = Vec::with_capacity(nparts);
-        for pid in 0..nparts {
-            let mut local = OpCounter::new();
-            out.push(f(pid, &mut local));
-            let n = local.get();
-            counts.push(n);
-            ops.add(n);
-        }
-        return (out, counts);
-    }
-    // Contiguous part chunks, one scoped thread each — never more threads
-    // than cores, so wide partitions don't oversubscribe the host.
-    let chunk = nparts.div_ceil(workers);
-    let per_chunk: Vec<Vec<(T, u64)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(nparts);
-                    (lo..hi)
-                        .map(|pid| {
-                            let mut local = OpCounter::new();
-                            let out = f(pid, &mut local);
-                            (out, local.get())
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(E002) — a panicked worker must abort the run; propagate it
-            .map(|h| h.join().expect("part worker panicked"))
-            .collect()
-    });
     let mut out = Vec::with_capacity(nparts);
     let mut counts = Vec::with_capacity(nparts);
-    for chunk_results in per_chunk {
-        for (t, n) in chunk_results {
-            ops.add(n);
-            counts.push(n);
-            out.push(t);
-        }
+    for pid in 0..nparts {
+        let mut local = OpCounter::new();
+        out.push(f(pid, &mut local));
+        let n = local.get();
+        counts.push(n);
+        ops.add(n);
     }
     (out, counts)
 }
@@ -463,11 +395,11 @@ pub fn run_scheme(
     run_scheme_with(scheme, machine, global, part, kind, SchemeConfig::default())
 }
 
-/// [`run_scheme`] with explicit [`SchemeConfig`] knobs: wire format and
-/// host-side parallel encode/compress.
+/// [`run_scheme`] with explicit [`SchemeConfig`] knobs: wire format,
+/// codec, overlap and chunking.
 ///
 /// `run_scheme(…)` is exactly `run_scheme_with(…, SchemeConfig::default())`
-/// — v1 wire bytes and sequential host execution, the seed behaviour.
+/// — v1 wire bytes and the staged schedule, the seed behaviour.
 ///
 /// # Errors
 /// Same as [`run_scheme`].
@@ -643,25 +575,16 @@ mod tests {
 
     #[test]
     fn every_config_yields_identical_state_and_phase_totals() {
-        // The SchemeConfig knobs tune *how* the host does the work — wire
-        // layout and threading — never *what* is distributed or what the
-        // paper's clock charges. Compare every config against the default
-        // on every scheme × partition × kind: identical locals and
-        // identical non-Wait phase totals. (Wait is excluded because the
-        // parallel receiver path drains messages before decoding, which
-        // legitimately reshuffles waiting between recv calls.)
+        // The SchemeConfig wire knobs tune *how* the bytes are laid out,
+        // never *what* is distributed or what the paper's clock charges.
+        // Compare v3 against the default on every scheme × partition ×
+        // kind: identical locals and identical busy phase totals.
         let a = paper_array_a();
-        let configs = [
-            SchemeConfig {
-                wire: WireFormat::V2,
-                ..SchemeConfig::default()
-            },
-            SchemeConfig {
-                parallel: true,
-                ..SchemeConfig::default()
-            },
-            SchemeConfig::compact_parallel(),
-        ];
+        let configs = [CodecChoice::Packed, CodecChoice::Auto].map(|codec| SchemeConfig {
+            wire: WireFormat::V3,
+            codec,
+            ..SchemeConfig::default()
+        });
         let busy_phases = [
             Phase::Pack,
             Phase::Send,
@@ -695,11 +618,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_wire_sends_fewer_bytes_for_compressed_schemes() {
-        // The v2 saving on a sparse payload: CFS and ED index streams
-        // narrow to delta varints, so the source transmits strictly fewer
-        // bytes while SFC's pure-f64 stream only grows by the 3-byte
-        // headers.
+    fn v3_wire_sends_fewer_bytes_for_compressed_schemes() {
+        // The v3 saving on a sparse payload: CFS and ED index streams
+        // bit-pack, so the source transmits strictly fewer bytes for the
+        // same logical elements.
         let mut a = Dense2D::zeros(80, 80);
         for i in 0..640 {
             a.set((i * 7) % 80, (i * 13 + i / 80) % 80, 1.0 + i as f64);
@@ -707,73 +629,25 @@ mod tests {
         let part = RowBlock::new(80, 80, 4);
         for scheme in [SchemeKind::Cfs, SchemeKind::Ed] {
             let v1 = run_scheme(scheme, &machine(4), &a, &part, CompressKind::Crs).unwrap();
-            let v2 = run_scheme_with(
+            let v3 = run_scheme_with(
                 scheme,
                 &machine(4),
                 &a,
                 &part,
                 CompressKind::Crs,
                 SchemeConfig {
-                    wire: WireFormat::V2,
+                    wire: WireFormat::V3,
                     ..SchemeConfig::default()
                 },
             )
             .unwrap();
-            let (b1, b2) = (v1.ledgers[0].wire().bytes, v2.ledgers[0].wire().bytes);
+            let (b1, b3) = (v1.ledgers[0].wire().bytes, v3.ledgers[0].wire().bytes);
             assert!(
-                (b2 as f64) < 0.7 * b1 as f64,
-                "{scheme}: v2 {b2} bytes !< 70% of v1 {b1} bytes"
+                (b3 as f64) < 0.7 * b1 as f64,
+                "{scheme}: v3 {b3} bytes !< 70% of v1 {b1} bytes"
             );
-            assert_eq!(v1.ledgers[0].wire().elements, v2.ledgers[0].wire().elements);
-        }
-    }
-
-    #[test]
-    fn parallel_receiver_path_matches_sequential_under_rank_death() {
-        // Fault-free every receiver owns one part, so the parallel decode
-        // path only wakes up when rank death re-homes parts. Kill a rank:
-        // its survivor owns two parts and decodes them on host threads —
-        // with the same state and the same busy-phase totals as the
-        // sequential walk.
-        use sparsedist_multicomputer::FaultPlan;
-        let a = paper_array_a();
-        let part = RowBlock::new(10, 8, 4);
-        let m = machine(4).with_faults(FaultPlan::new(7).with_dead_rank(2));
-        for kind in [CompressKind::Crs, CompressKind::Ccs] {
-            for scheme in SchemeKind::ALL {
-                let base = run_scheme(scheme, &m, &a, &part, kind).unwrap();
-                let par = run_scheme_with(
-                    scheme,
-                    &m,
-                    &a,
-                    &part,
-                    kind,
-                    SchemeConfig::compact_parallel(),
-                )
-                .unwrap();
-                assert_eq!(par.locals, base.locals, "{scheme} {kind}");
-                assert_eq!(par.reassemble(&part), a, "{scheme} {kind}");
-                for (l, b) in par.ledgers.iter().zip(&base.ledgers) {
-                    for ph in [Phase::Unpack, Phase::Compress, Phase::Decode] {
-                        assert_eq!(l.get(ph), b.get(ph), "{scheme} {kind} {ph:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compact_parallel_runs_are_deterministic() {
-        let a = paper_array_a();
-        let part = Mesh2D::new(10, 8, 2, 2);
-        let cfg = SchemeConfig::compact_parallel();
-        for scheme in SchemeKind::ALL {
-            let r1 =
-                run_scheme_with(scheme, &machine(4), &a, &part, CompressKind::Ccs, cfg).unwrap();
-            let r2 =
-                run_scheme_with(scheme, &machine(4), &a, &part, CompressKind::Ccs, cfg).unwrap();
-            assert_eq!(r1.ledgers, r2.ledgers, "{scheme}");
-            assert_eq!(r1.locals, r2.locals, "{scheme}");
+            assert_eq!(v1.ledgers[0].wire().elements, v3.ledgers[0].wire().elements);
+            assert_eq!(v1.t_distribution(), v3.t_distribution(), "{scheme}");
         }
     }
 

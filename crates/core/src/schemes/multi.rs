@@ -167,7 +167,7 @@ fn multi_task<'e>(
                     let mut ops = OpCounter::new();
                     let (bufs, counts) = {
                         let arena = env.arena();
-                        map_parts_counted(p, config.parallel, &mut ops, &|pid, ops| {
+                        map_parts_counted(p, &mut ops, |pid, ops| {
                             let (lrows, lcols) = part.local_shape(pid);
                             let mut buf =
                                 arena.checkout((lrows / nsources + 1) * (lcols / 2 + 1) * 8);
@@ -221,8 +221,8 @@ fn multi_task<'e>(
                 for (src, buf) in msgs.iter().enumerate() {
                     let nseg = row_src.iter().filter(|&&s| s == src).count();
                     let mut cursor = buf.cursor();
-                    let head = codec.open_message(&mut cursor)?;
-                    let triple = head.codec.decode_pairs(&mut cursor, nseg, head.desc)?;
+                    let desc = codec.open_message(&mut cursor)?;
+                    let triple = codec.decode_pairs(&mut cursor, nseg, desc)?;
                     if !cursor.is_exhausted() {
                         return Err(UnpackError {
                             at: 0,
@@ -292,9 +292,9 @@ pub fn run_ed_multi_source(
     run_ed_multi_source_with(machine, global, part, nsources, SchemeConfig::default())
 }
 
-/// [`run_ed_multi_source`] with an explicit wire format and host-parallelism
-/// choice. The decoded state and the virtual-time phase totals are
-/// independent of `config`; only host wall time and bytes on the wire move.
+/// [`run_ed_multi_source`] with an explicit [`SchemeConfig`]. The decoded
+/// state is independent of `config`; the wire format moves only bytes on
+/// the wire, never a virtual-time phase total.
 ///
 /// # Errors
 /// Same failure modes as [`run_ed_multi_source`].
@@ -352,6 +352,7 @@ mod tests {
     use crate::dense::paper_array_a;
     use crate::partition::{ColBlock, Mesh2D, RowBlock, RowCyclic};
     use crate::schemes::{run_scheme, SchemeKind};
+    use crate::wire::WireFormat;
     use sparsedist_multicomputer::MachineModel;
 
     fn machine(p: usize) -> Multicomputer {
@@ -427,24 +428,27 @@ mod tests {
     }
 
     #[test]
-    fn compact_parallel_config_matches_default_run() {
-        // Wire format and host threading are transparent to both the
-        // decoded state and the paper's clock: elements on the wire and
-        // ops charged are identical under every config.
+    fn v3_config_matches_default_run() {
+        // The wire format is transparent to both the decoded state and the
+        // paper's clock: elements on the wire and ops charged are
+        // identical under every format.
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
         for k in [1, 2, 4] {
             let base = run_ed_multi_source(&machine(4), &a, &part, k).unwrap();
-            let v2 = run_ed_multi_source_with(
+            let v3 = run_ed_multi_source_with(
                 &machine(4),
                 &a,
                 &part,
                 k,
-                SchemeConfig::compact_parallel(),
+                SchemeConfig {
+                    wire: WireFormat::V3,
+                    ..SchemeConfig::default()
+                },
             )
             .unwrap();
-            assert_eq!(base.locals, v2.locals, "k={k}");
-            assert_eq!(base.t_distribution(), v2.t_distribution(), "k={k}");
+            assert_eq!(base.locals, v3.locals, "k={k}");
+            assert_eq!(base.t_distribution(), v3.t_distribution(), "k={k}");
         }
     }
 

@@ -15,9 +15,9 @@
 //!
 //! [`SchemeStages`] captures the per-scheme hooks; [`run_pipeline`] is the
 //! one driver that composes them with owner maps, wire-format negotiation,
-//! host-side parallelism ([`map_parts_counted`]) and the fault-aware retry
-//! layer underneath `send`/`recv`. The scheme modules (`sfc.rs`, `cfs.rs`,
-//! `ed.rs`) shrink to their hooks plus a phase-charging policy.
+//! per-part op attribution ([`map_parts_counted`]) and the fault-aware
+//! retry layer underneath `send`/`recv`. The scheme modules (`sfc.rs`,
+//! `cfs.rs`, `ed.rs`) shrink to their hooks plus a phase-charging policy.
 //!
 //! # Invariants
 //!
@@ -55,12 +55,10 @@ pub(crate) enum SourcePolicy {
 /// The per-scheme hooks the shared driver composes. Implementations borrow
 /// the global array / partition / wire format they need, so the hooks only
 /// see a part id.
-pub(crate) trait SchemeStages: Sync {
+pub(crate) trait SchemeStages {
     /// What the decode hook produces; [`SchemeStages::finish_part`] or
     /// [`SchemeStages::local_from`] turns it into the final local array.
-    /// (`Sync` because the batch finish stage shares the mids across scoped
-    /// host threads by reference.)
-    type Mid: Send + Sync;
+    type Mid;
 
     /// Which scheme this is (labels traces and the returned [`SchemeRun`]).
     fn scheme(&self) -> SchemeKind;
@@ -70,12 +68,6 @@ pub(crate) trait SchemeStages: Sync {
 
     /// The phase the receiver-side decode is charged to.
     fn recv_phase(&self) -> Phase;
-
-    /// Whether the batch receiver path runs the decode inside the phase
-    /// block (SFC, ED) or ahead of it (CFS) — irrelevant to the virtual
-    /// clock (the hooks never charge the env) but it decides wall-clock
-    /// attribution, and the driver replays each seed driver's shape.
-    fn batch_decode_inside_phase(&self) -> bool;
 
     /// Arena checkout size for part `pid`'s wire buffer.
     fn buf_capacity(&self, pid: usize) -> usize;
@@ -205,7 +197,7 @@ fn source_staged<S: SchemeStages>(
             let mut ops = OpCounter::new();
             let (bufs, counts) = {
                 let arena = env.arena();
-                map_parts_counted(nparts, config.parallel, &mut ops, &|pid, ops| {
+                map_parts_counted(nparts, &mut ops, |pid, ops| {
                     let mut buf = arena.checkout(stages.buf_capacity(pid));
                     stages.encode_part(&mut buf, pid, ops).map(|()| buf)
                 })
@@ -221,11 +213,10 @@ fn source_staged<S: SchemeStages>(
             let (bufs, compress_total, compress_counts) = {
                 let arena = env.arena();
                 let mut compress_ops = OpCounter::new();
-                let (bufs, counts) =
-                    map_parts_counted(nparts, config.parallel, &mut compress_ops, &|pid, ops| {
-                        let mut buf = arena.checkout(stages.buf_capacity(pid));
-                        stages.encode_part(&mut buf, pid, ops).map(|()| buf)
-                    });
+                let (bufs, counts) = map_parts_counted(nparts, &mut compress_ops, |pid, ops| {
+                    let mut buf = arena.checkout(stages.buf_capacity(pid));
+                    stages.encode_part(&mut buf, pid, ops).map(|()| buf)
+                });
                 (bufs, compress_ops.take(), counts)
             };
             let bufs: Vec<PackBuffer> = bufs.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -309,9 +300,9 @@ fn source_overlapped<S: SchemeStages>(
     Ok(())
 }
 
-/// Receiver side: collect the parts this rank owns, decode them (batched
-/// onto host threads when `parallel` and ≥ 2 parts land here), and run the
-/// optional finish stage. Awaits only inside [`recv_part`].
+/// Receiver side: receive the parts this rank owns one at a time, decode
+/// each, and run the optional finish stage. Awaits only inside
+/// [`recv_part`].
 async fn receive_parts<S: SchemeStages>(
     env: &mut Env,
     stages: &S,
@@ -319,107 +310,29 @@ async fn receive_parts<S: SchemeStages>(
     config: SchemeConfig,
 ) -> Result<Vec<(usize, LocalCompressed)>, SparsedistError> {
     let mut out = Vec::with_capacity(mine.len());
-    if config.parallel && mine.len() >= 2 {
-        // Receive everything first, then decode the parts on scoped host
-        // threads; each phase's merged op total equals the sequential
-        // path's sum of per-part charges, so the virtual clock cannot tell
-        // them apart.
-        let mut payloads = Vec::with_capacity(mine.len());
-        for &pid in mine {
-            payloads.push((pid, recv_part(env, SOURCE, config.chunk_elems).await?));
-        }
-        let decode = |i: usize, ops: &mut OpCounter, payloads: &[(usize, PackBuffer)]| {
-            let (pid, payload) = &payloads[i];
-            stages.decode_part(payload, *pid, ops)
-        };
-        let mids = if stages.batch_decode_inside_phase() {
-            env.phase(stages.recv_phase(), |env| {
-                let mut ops = OpCounter::new();
-                let (mids, counts) = {
-                    let ps = &payloads;
-                    map_parts_counted(ps.len(), true, &mut ops, &|i, ops| decode(i, ops, ps))
-                };
-                if env.is_tracing() {
-                    let pairs: Vec<(usize, u64)> =
-                        payloads.iter().map(|(pid, _)| *pid).zip(counts).collect();
-                    env.trace_part_ops(&pairs);
-                }
-                env.charge_ops(ops.take());
-                mids
-            })
-        } else {
-            let (mids, total, counts) = {
-                let ps = &payloads;
-                let mut ops = OpCounter::new();
-                let (mids, counts) =
-                    map_parts_counted(ps.len(), true, &mut ops, &|i, ops| decode(i, ops, ps));
-                (mids, ops.take(), counts)
-            };
-            env.phase(stages.recv_phase(), |env| {
-                if env.is_tracing() {
-                    let pairs: Vec<(usize, u64)> =
-                        payloads.iter().map(|(pid, _)| *pid).zip(counts).collect();
-                    env.trace_part_ops(&pairs);
-                }
-                env.charge_ops(total)
-            });
-            mids
-        };
-        let mut locals = Vec::with_capacity(mids.len());
-        for (mid, (pid, payload)) in mids.into_iter().zip(payloads) {
-            env.arena().recycle_bytes(payload.into_bytes());
-            locals.push((pid, mid?));
-        }
+    for &pid in mine {
+        let payload = recv_part(env, SOURCE, config.chunk_elems).await?;
+        let mid = env.phase(stages.recv_phase(), |env| {
+            let mut ops = OpCounter::new();
+            let mid = stages.decode_part(&payload, pid, &mut ops);
+            let n = ops.take();
+            env.trace_part_ops(&[(pid, n)]);
+            env.charge_ops(n);
+            mid
+        })?;
+        env.arena().recycle_bytes(payload.into_bytes());
         if let Some(fphase) = stages.finish_phase() {
-            let compressed = env.phase(fphase, |env| {
+            let local = env.phase(fphase, |env| {
                 let mut ops = OpCounter::new();
-                let (c, counts) = {
-                    let locals_ref = &locals;
-                    map_parts_counted(locals.len(), true, &mut ops, &|i, ops| {
-                        stages.finish_part(&locals_ref[i].1, ops)
-                    })
-                };
-                if env.is_tracing() {
-                    let pairs: Vec<(usize, u64)> =
-                        locals.iter().map(|(pid, _)| *pid).zip(counts).collect();
-                    env.trace_part_ops(&pairs);
-                }
-                env.charge_ops(ops.take());
-                c
-            });
-            out.extend(locals.iter().map(|(pid, _)| *pid).zip(compressed));
-        } else {
-            out.extend(
-                locals
-                    .into_iter()
-                    .map(|(pid, mid)| (pid, stages.local_from(mid))),
-            );
-        }
-    } else {
-        for &pid in mine {
-            let payload = recv_part(env, SOURCE, config.chunk_elems).await?;
-            let mid = env.phase(stages.recv_phase(), |env| {
-                let mut ops = OpCounter::new();
-                let mid = stages.decode_part(&payload, pid, &mut ops);
+                let local = stages.finish_part(&mid, &mut ops);
                 let n = ops.take();
                 env.trace_part_ops(&[(pid, n)]);
                 env.charge_ops(n);
-                mid
-            })?;
-            env.arena().recycle_bytes(payload.into_bytes());
-            if let Some(fphase) = stages.finish_phase() {
-                let local = env.phase(fphase, |env| {
-                    let mut ops = OpCounter::new();
-                    let local = stages.finish_part(&mid, &mut ops);
-                    let n = ops.take();
-                    env.trace_part_ops(&[(pid, n)]);
-                    env.charge_ops(n);
-                    local
-                });
-                out.push((pid, local));
-            } else {
-                out.push((pid, stages.local_from(mid)));
-            }
+                local
+            });
+            out.push((pid, local));
+        } else {
+            out.push((pid, stages.local_from(mid)));
         }
     }
     Ok(out)
@@ -924,6 +837,7 @@ mod tests {
     use crate::dense::{paper_array_a, Dense2D};
     use crate::partition::{ColBlock, RowBlock};
     use crate::schemes::{run_scheme, run_scheme_with};
+    use crate::wire::WireFormat;
     use sparsedist_multicomputer::{FaultPlan, MachineModel, PackArena, RetryPolicy, WireStats};
 
     fn sp2(p: usize) -> Multicomputer {
@@ -1592,9 +1506,9 @@ mod tests {
                 ..SchemeConfig::default()
             },
             SchemeConfig {
+                wire: WireFormat::V3,
                 overlap: true,
                 chunk_elems: 16,
-                parallel: true,
                 ..SchemeConfig::default()
             },
         ] {
@@ -1710,9 +1624,6 @@ mod tests {
         }
         fn recv_phase(&self) -> Phase {
             Phase::Decode
-        }
-        fn batch_decode_inside_phase(&self) -> bool {
-            true
         }
         fn buf_capacity(&self, _pid: usize) -> usize {
             8

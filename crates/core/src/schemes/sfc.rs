@@ -47,10 +47,6 @@ impl SchemeStages for Stages<'_> {
         Phase::Unpack
     }
 
-    fn batch_decode_inside_phase(&self) -> bool {
-        true
-    }
-
     fn buf_capacity(&self, pid: usize) -> usize {
         let (lrows, lcols) = self.part.local_shape(pid);
         lrows * lcols * 8 + wire::HEADER_LEN
@@ -60,7 +56,7 @@ impl SchemeStages for Stages<'_> {
     ///
     /// SFC payloads are pure value streams — no index side — so the codec
     /// only sees `encode_values`: under v1 the bytes are the bare `f64`
-    /// run, v2 adds only its self-describing header, and v3 may
+    /// run, and v3 adds a self-describing header and may
     /// byte-transpose the values into planes (dense payloads are mostly
     /// zeros, which RLE-compress hard). Only a partition that is not
     /// row-contiguous pays for packing: one op per gathered element

@@ -12,17 +12,15 @@
 //!    `encode_pairs` (count-prefixed segments, ED) lay down the payload.
 //!
 //! The receiver calls [`Codec::open_message`] on the configured format,
-//! which validates the header and returns a [`MsgHead`] naming the codec
-//! that actually produced the stream — this is where mixed-version
-//! negotiation lands: a v3-configured receiver accepts a v2 stream by
-//! getting back the v2 codec, while a v2 receiver rejects v3 magic with a
-//! typed [`CompressError::WireHeader`].
+//! which validates the header and returns the negotiation byte; a v3
+//! receiver rejects any other magic with a typed
+//! [`CompressError::WireHeader`].
 //!
 //! Invariants every codec upholds:
 //!
-//! * **Byte identity for v1/v2**: the streams [`V1Raw`] and [`V2Delta`]
-//!   produce are bit-identical to the pre-refactor layouts (goldens and
-//!   fault corpora keep validating).
+//! * **Byte identity for v1**: the streams [`V1Raw`] produces are
+//!   bit-identical to the seed layout (goldens and fault corpora keep
+//!   validating).
 //! * **Element transparency**: a message's [`PackBuffer::elem_count`] is
 //!   the same under every codec, so `T_Data` and every other virtual-time
 //!   charge is format-independent. Codecs move bytes, never ops.
@@ -30,11 +28,7 @@
 //!   and bound every allocation by what the buffer can actually hold.
 
 use super::v3::V3Packed;
-use super::varint::{IndexRunReader, IndexRunWriter};
-use super::{
-    negotiate, read_count, read_header, read_monotone_run, write_header, UnpackedTriple,
-    WireFormat, FLAG_DELTA,
-};
+use super::{UnpackedTriple, WireFormat};
 use crate::compress::CompressError;
 use crate::error::SparsedistError;
 use sparsedist_multicomputer::pack::{PackBuffer, UnpackCursor, UnpackError};
@@ -42,8 +36,8 @@ use sparsedist_multicomputer::MachineModel;
 
 /// Which v3 index/value encodings a scheme run lets the sender use.
 ///
-/// v1 and v2 have exactly one layout each, so the choice only matters
-/// under [`WireFormat::V3`].
+/// v1 has exactly one layout, so the choice only matters under
+/// [`WireFormat::V3`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CodecChoice {
     /// Price each stream's candidates against the α-β model and take the
@@ -53,7 +47,7 @@ pub enum CodecChoice {
     /// Raw `u64` indices and raw `f64` values (v1's layout behind a v3
     /// header).
     Raw,
-    /// v2's delta-varint index runs, raw values.
+    /// Per-segment delta-varint index runs, raw values.
     Delta,
     /// Bit-packed index runs and byte-transposed value planes — the
     /// maximum-shrink layout.
@@ -119,16 +113,6 @@ impl Default for WirePolicy {
     }
 }
 
-/// A validated message header: the negotiation byte and the codec that
-/// wrote the stream (which, under mixed-version negotiation, may be an
-/// older format than the receiver's configured one).
-pub struct MsgHead {
-    /// The negotiation byte (v2 flags, or the v3 descriptor).
-    pub desc: u8,
-    /// The codec whose decode functions understand the payload.
-    pub codec: &'static dyn Codec,
-}
-
 /// One wire format's byte layout, over arena-backed [`PackBuffer`]s.
 ///
 /// The index side always travels as a `(pointer, indices)` pair: the
@@ -137,10 +121,7 @@ pub struct MsgHead {
 /// logical content in the ED schemes' count-prefixed segment layout
 /// (`pointer.len() - 1` count fields instead of `pointer.len()` pointer
 /// entries, preserving the ED element count of `segments + 2·nnz`).
-pub trait Codec: Sync {
-    /// The format this codec implements.
-    fn format(&self) -> WireFormat;
-
+pub trait Codec {
     /// Choose the message's negotiation byte. `index_bound` is the
     /// exclusive bound on travelling indices (the global inner
     /// dimension); the streams let v3's `auto` mode price candidate
@@ -158,8 +139,9 @@ pub trait Codec: Sync {
     /// only: the buffer's element count is unchanged.
     fn begin_message(&self, buf: &mut PackBuffer, desc: u8);
 
-    /// Validate the header and name the codec that wrote the stream.
-    fn open_message(&self, cursor: &mut UnpackCursor<'_>) -> Result<MsgHead, CompressError>;
+    /// Validate the header and return the message's negotiation byte
+    /// (`0` under v1, which has no header).
+    fn open_message(&self, cursor: &mut UnpackCursor<'_>) -> Result<u8, CompressError>;
 
     /// Append the pointer and per-segment index runs.
     fn encode_indices(&self, buf: &mut PackBuffer, pointer: &[usize], indices: &[usize], desc: u8);
@@ -208,14 +190,8 @@ pub trait Codec: Sync {
 /// byte-identical to the seed repo's streams.
 pub struct V1Raw;
 
-/// The v2 codec: 3-byte header, negotiated `IDX32`/`DELTA` index
-/// encodings, raw values — byte-identical to the pre-refactor v2.
-pub struct V2Delta;
-
 /// The singleton codec instances [`codec_for`] hands out.
 pub static V1_RAW: V1Raw = V1Raw;
-/// See [`V1_RAW`].
-pub static V2_DELTA: V2Delta = V2Delta;
 /// See [`V1_RAW`].
 pub static V3_PACKED: V3Packed = V3Packed;
 
@@ -223,7 +199,6 @@ pub static V3_PACKED: V3Packed = V3Packed;
 pub fn codec_for(format: WireFormat) -> &'static dyn Codec {
     match format {
         WireFormat::V1 => &V1_RAW,
-        WireFormat::V2 => &V2_DELTA,
         WireFormat::V3 => &V3_PACKED,
     }
 }
@@ -250,21 +225,14 @@ pub(super) fn guard_count(
 }
 
 impl Codec for V1Raw {
-    fn format(&self) -> WireFormat {
-        WireFormat::V1
-    }
-
     fn plan(&self, _: usize, _: &[usize], _: &[usize], _: &[f64], _: &WirePolicy) -> u8 {
         0
     }
 
     fn begin_message(&self, _buf: &mut PackBuffer, _desc: u8) {}
 
-    fn open_message(&self, _cursor: &mut UnpackCursor<'_>) -> Result<MsgHead, CompressError> {
-        Ok(MsgHead {
-            desc: 0,
-            codec: &V1_RAW,
-        })
+    fn open_message(&self, _cursor: &mut UnpackCursor<'_>) -> Result<u8, CompressError> {
+        Ok(0)
     }
 
     fn encode_indices(
@@ -322,173 +290,46 @@ impl Codec for V1Raw {
         }
     }
 
+    /// A failed count read is a [`CompressError::PointerLength`], a
+    /// failed pair read a [`CompressError::LengthMismatch`].
     fn decode_pairs(
         &self,
         cursor: &mut UnpackCursor<'_>,
         nsegments: usize,
         _desc: u8,
     ) -> Result<UnpackedTriple, SparsedistError> {
-        decode_counted_pairs(cursor, nsegments, 0)
-    }
-}
-
-impl Codec for V2Delta {
-    fn format(&self) -> WireFormat {
-        WireFormat::V2
-    }
-
-    fn plan(
-        &self,
-        index_bound: usize,
-        pointer: &[usize],
-        _indices: &[usize],
-        _values: &[f64],
-        _policy: &WirePolicy,
-    ) -> u8 {
-        let total = pointer.last().copied().unwrap_or(0);
-        negotiate(index_bound.max(total))
-    }
-
-    fn begin_message(&self, buf: &mut PackBuffer, desc: u8) {
-        write_header(buf, desc);
-    }
-
-    fn open_message(&self, cursor: &mut UnpackCursor<'_>) -> Result<MsgHead, CompressError> {
-        let flags = read_header(cursor)?;
-        Ok(MsgHead {
-            desc: flags,
-            codec: &V2_DELTA,
-        })
-    }
-
-    fn encode_indices(&self, buf: &mut PackBuffer, pointer: &[usize], indices: &[usize], desc: u8) {
-        super::push_monotone_run(buf, pointer, desc);
-        let mut run = IndexRunWriter::new(desc);
-        for seg in 0..pointer.len().saturating_sub(1) {
-            run.reset();
-            for &idx in &indices[pointer[seg]..pointer[seg + 1]] {
-                run.push(buf, idx);
-            }
-        }
-    }
-
-    fn decode_indices(
-        &self,
-        cursor: &mut UnpackCursor<'_>,
-        nsegments: usize,
-        desc: u8,
-    ) -> Result<(Vec<usize>, Vec<usize>), SparsedistError> {
-        let pointer = read_monotone_run(cursor, nsegments + 1, desc)?;
-        let nnz = pointer.last().copied().unwrap_or(0);
-        // Delta varints cost ≥ 1 byte per index; fixed widths cost 4 or 8.
-        let min_per = if desc & FLAG_DELTA != 0 {
-            1
-        } else if desc & super::FLAG_IDX32 != 0 {
-            4
-        } else {
-            8
-        };
-        guard_count(cursor, nnz, min_per)?;
-        let mut indices = Vec::with_capacity(nnz);
-        let mut run = IndexRunReader::new(desc);
+        let mut pointer = Vec::with_capacity(nsegments + 1);
+        pointer.push(0usize);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
         for seg in 0..nsegments {
-            run.reset();
-            for _ in pointer[seg]..pointer[seg + 1] {
-                indices.push(run.next(cursor)?);
-            }
-        }
-        Ok((pointer, indices))
-    }
-
-    fn encode_values(&self, buf: &mut PackBuffer, values: &[f64], _desc: u8) {
-        buf.push_f64_slice(values);
-    }
-
-    fn decode_values(
-        &self,
-        cursor: &mut UnpackCursor<'_>,
-        n: usize,
-        _desc: u8,
-    ) -> Result<Vec<f64>, SparsedistError> {
-        guard_count(cursor, n, 8)?;
-        Ok(cursor.try_read_f64_vec(n)?)
-    }
-
-    fn encode_pairs(
-        &self,
-        buf: &mut PackBuffer,
-        pointer: &[usize],
-        indices: &[usize],
-        values: &[f64],
-        desc: u8,
-    ) {
-        let mut run = IndexRunWriter::new(desc);
-        for seg in 0..pointer.len().saturating_sub(1) {
-            super::push_count(buf, pointer[seg + 1] - pointer[seg], desc);
-            run.reset();
-            for k in pointer[seg]..pointer[seg + 1] {
-                run.push(buf, indices[k]);
-                buf.push_f64(values[k]);
-            }
-        }
-    }
-
-    fn decode_pairs(
-        &self,
-        cursor: &mut UnpackCursor<'_>,
-        nsegments: usize,
-        desc: u8,
-    ) -> Result<UnpackedTriple, SparsedistError> {
-        decode_counted_pairs(cursor, nsegments, desc)
-    }
-}
-
-/// Shared v1/v2 decode of the count-prefixed ED segment layout. The
-/// error mapping preserves the pre-refactor contract: a failed count
-/// read is a [`CompressError::PointerLength`], a failed pair read a
-/// [`CompressError::LengthMismatch`].
-fn decode_counted_pairs(
-    cursor: &mut UnpackCursor<'_>,
-    nsegments: usize,
-    flags: u8,
-) -> Result<UnpackedTriple, SparsedistError> {
-    let mut run = IndexRunReader::new(flags);
-    let mut pointer = Vec::with_capacity(nsegments + 1);
-    pointer.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for seg in 0..nsegments {
-        let count = read_count(cursor, flags).map_err(|_| CompressError::PointerLength {
-            expected: nsegments + 1,
-            actual: seg + 1,
-        })?;
-        let total = pointer[seg]
-            .checked_add(count)
-            .ok_or(CompressError::Codec {
-                reason: "segment counts overflow",
-            })?;
-        pointer.push(total);
-        run.reset();
-        for _ in 0..count {
-            let idx = run
-                .next(cursor)
-                .map_err(|_| CompressError::LengthMismatch {
+            let count = cursor
+                .try_read_usize()
+                .map_err(|_| CompressError::PointerLength {
+                    expected: nsegments + 1,
+                    actual: seg + 1,
+                })?;
+            let total = pointer[seg]
+                .checked_add(count)
+                .ok_or(CompressError::Codec {
+                    reason: "segment counts overflow",
+                })?;
+            pointer.push(total);
+            for _ in 0..count {
+                let pair = cursor.try_read_usize().and_then(|idx| {
+                    indices.push(idx);
+                    cursor.try_read_f64()
+                });
+                let v = pair.map_err(|_| CompressError::LengthMismatch {
                     pointer_total: total,
                     indices: indices.len(),
                     values: values.len(),
                 })?;
-            indices.push(idx);
-            let v = cursor
-                .try_read_f64()
-                .map_err(|_| CompressError::LengthMismatch {
-                    pointer_total: total,
-                    indices: indices.len(),
-                    values: values.len(),
-                })?;
-            values.push(v);
+                values.push(v);
+            }
         }
+        Ok((pointer, indices, values))
     }
-    Ok((pointer, indices, values))
 }
 
 /// Per-stream byte footprint of one message under one policy, raw vs

@@ -5,7 +5,7 @@
 //!
 //! | bits  | meaning                                                |
 //! |-------|--------------------------------------------------------|
-//! | `0-1` | index codec: `00` raw `u64`, `01` per-segment delta varints (v2's run encoding), `10` bit-packed runs |
+//! | `0-1` | index codec: `00` raw `u64`, `01` per-segment delta varints, `10` bit-packed runs |
 //! | `2`   | values travel as 8 byte-transposed planes instead of raw `f64` |
 //! | `3-7` | reserved, must be zero                                 |
 //!
@@ -41,9 +41,9 @@
 //! phase totals are format-independent.
 
 use super::bitpack::{packed_size, take_packed, write_packed, PackedValues};
-use super::codec::{guard_count, Codec, CodecChoice, MsgHead, WirePolicy, V2_DELTA, V3_PACKED};
+use super::codec::{guard_count, Codec, CodecChoice, WirePolicy};
 use super::varint::{unzigzag, varint_len, zigzag, IndexRunReader, IndexRunWriter};
-use super::{take_header, UnpackedTriple, WireFormat, FLAG_DELTA, FLAG_MASK, MAGIC};
+use super::{push_monotone_run, take_header, UnpackedTriple};
 use crate::compress::CompressError;
 use crate::error::SparsedistError;
 use sparsedist_multicomputer::pack::{PackBuffer, UnpackCursor};
@@ -54,7 +54,7 @@ pub const MAGIC_V3: [u8; 2] = [b'S', b'3'];
 
 /// Index codec: raw little-endian `u64` per index.
 pub const IDX_RAW: u8 = 0b00;
-/// Index codec: per-segment delta varints (v2's run encoding).
+/// Index codec: per-segment delta varints.
 pub const IDX_DELTA: u8 = 0b01;
 /// Index codec: bit-packed first/within delta streams.
 pub const IDX_PACKED: u8 = 0b10;
@@ -80,10 +80,6 @@ fn codec_err(reason: &'static str) -> CompressError {
 pub struct V3Packed;
 
 impl Codec for V3Packed {
-    fn format(&self) -> WireFormat {
-        WireFormat::V3
-    }
-
     fn plan(
         &self,
         _index_bound: usize,
@@ -106,34 +102,21 @@ impl Codec for V3Packed {
         buf.push_raw(&[MAGIC_V3[0], MAGIC_V3[1], desc]);
     }
 
-    fn open_message(&self, cursor: &mut UnpackCursor<'_>) -> Result<MsgHead, CompressError> {
+    fn open_message(&self, cursor: &mut UnpackCursor<'_>) -> Result<u8, CompressError> {
         let (found, complete) = take_header(cursor);
-        if !complete {
+        let desc = found[2];
+        if !complete
+            || found[..2] != MAGIC_V3
+            || desc & !DESC_MASK != 0
+            || desc & IDX_MASK == IDX_MASK
+        {
             return Err(CompressError::WireHeader { found });
         }
-        if found[0] == MAGIC_V3[0] && found[1] == MAGIC_V3[1] {
-            let desc = found[2];
-            if desc & !DESC_MASK != 0 || desc & IDX_MASK == IDX_MASK {
-                return Err(CompressError::WireHeader { found });
-            }
-            return Ok(MsgHead {
-                desc,
-                codec: &V3_PACKED,
-            });
-        }
-        // Mixed-version negotiation: a v3-capable receiver still decodes a
-        // v2 stream from an older sender.
-        if found[0] == MAGIC[0] && found[1] == MAGIC[1] && found[2] & !FLAG_MASK == 0 {
-            return Ok(MsgHead {
-                desc: found[2],
-                codec: &V2_DELTA,
-            });
-        }
-        Err(CompressError::WireHeader { found })
+        Ok(desc)
     }
 
     fn encode_indices(&self, buf: &mut PackBuffer, pointer: &[usize], indices: &[usize], desc: u8) {
-        super::push_monotone_run(buf, pointer, FLAG_DELTA);
+        push_monotone_run(buf, pointer);
         encode_index_stream(buf, pointer, indices, desc);
     }
 
@@ -218,7 +201,7 @@ impl Codec for V3Packed {
     ) {
         // The pointer tail as varint deltas is exactly the per-segment
         // count stream — `nsegments` varints, `nsegments` elements,
-        // matching v1/v2's one count field per segment.
+        // matching v1's one count field per segment.
         for seg in 0..pointer.len().saturating_sub(1) {
             buf.push_varint((pointer[seg + 1] - pointer[seg]) as u64);
         }
@@ -260,7 +243,7 @@ impl Codec for V3Packed {
 fn encode_index_stream(buf: &mut PackBuffer, pointer: &[usize], indices: &[usize], desc: u8) {
     match desc & IDX_MASK {
         IDX_DELTA => {
-            let mut run = IndexRunWriter::new(FLAG_DELTA);
+            let mut run = IndexRunWriter::new();
             for seg in 0..pointer.len().saturating_sub(1) {
                 run.reset();
                 for &idx in &indices[pointer[seg]..pointer[seg + 1]] {
@@ -296,7 +279,7 @@ fn decode_index_stream(
         IDX_DELTA => {
             guard_count(cursor, nnz, 1)?;
             let mut indices = Vec::with_capacity(nnz);
-            let mut run = IndexRunReader::new(FLAG_DELTA);
+            let mut run = IndexRunReader::new();
             for seg in 0..nsegments {
                 run.reset();
                 for _ in pointer[seg]..pointer[seg + 1] {
@@ -861,7 +844,8 @@ fn auto_desc(pointer: &[usize], indices: &[usize], values: &[f64], policy: &Wire
 
 #[cfg(test)]
 mod tests {
-    use super::super::codec::codec_for;
+    use super::super::codec::{codec_for, V3_PACKED};
+    use super::super::WireFormat;
     use super::*;
     use sparsedist_multicomputer::MachineModel;
 
@@ -885,13 +869,11 @@ mod tests {
             "desc {desc:#05b}: element count must be format-independent"
         );
         let mut c = b.cursor();
-        let head = V3_PACKED.open_message(&mut c).unwrap();
-        assert_eq!(head.desc, desc);
-        let (ro2, co2) = head
-            .codec
+        assert_eq!(V3_PACKED.open_message(&mut c).unwrap(), desc);
+        let (ro2, co2) = V3_PACKED
             .decode_indices(&mut c, ro.len() - 1, desc)
             .unwrap();
-        let vl2 = head.codec.decode_values(&mut c, vl.len(), desc).unwrap();
+        let vl2 = V3_PACKED.decode_values(&mut c, vl.len(), desc).unwrap();
         assert!(c.is_exhausted(), "desc {desc:#05b}");
         assert_eq!((ro2, co2, vl2), (ro, co, vl), "desc {desc:#05b}");
     }
@@ -916,8 +898,8 @@ mod tests {
             // ED element count: one count per segment + 2·nnz.
             assert_eq!(b.elem_count(), (ro.len() - 1 + 2 * vl.len()) as u64);
             let mut c = b.cursor();
-            let head = V3_PACKED.open_message(&mut c).unwrap();
-            let (ro2, co2, vl2) = head.codec.decode_pairs(&mut c, ro.len() - 1, desc).unwrap();
+            assert_eq!(V3_PACKED.open_message(&mut c).unwrap(), desc);
+            let (ro2, co2, vl2) = V3_PACKED.decode_pairs(&mut c, ro.len() - 1, desc).unwrap();
             assert!(c.is_exhausted());
             assert_eq!((ro2, co2, vl2), (ro.clone(), co.clone(), vl.clone()));
         }
@@ -938,12 +920,11 @@ mod tests {
                 V3_PACKED.encode_indices(&mut b, &ro, &co, desc);
                 V3_PACKED.encode_values(&mut b, &vl, desc);
                 let mut c = b.cursor();
-                let head = V3_PACKED.open_message(&mut c).unwrap();
-                let (ro2, co2) = head
-                    .codec
+                assert_eq!(V3_PACKED.open_message(&mut c).unwrap(), desc);
+                let (ro2, co2) = V3_PACKED
                     .decode_indices(&mut c, ro.len() - 1, desc)
                     .unwrap();
-                let vl2 = head.codec.decode_values(&mut c, vl.len(), desc).unwrap();
+                let vl2 = V3_PACKED.decode_values(&mut c, vl.len(), desc).unwrap();
                 assert_eq!((ro2, co2, vl2), (ro.clone(), co.clone(), vl.clone()));
             }
         }
@@ -978,22 +959,20 @@ mod tests {
     }
 
     #[test]
-    fn v3_receiver_accepts_v2_streams() {
-        let (ro, co, vl) = fig7_triple();
-        let mut b = PackBuffer::new();
-        super::super::pack_triple_into(&mut b, &ro, &co, &vl, 8, &WirePolicy::of(WireFormat::V2));
-        let mut c = b.cursor();
-        let head = V3_PACKED.open_message(&mut c).unwrap();
-        assert_eq!(head.codec.format(), WireFormat::V2);
-        let (ro2, co2) = head
-            .codec
-            .decode_indices(&mut c, ro.len() - 1, head.desc)
-            .unwrap();
-        let vl2 = head
-            .codec
-            .decode_values(&mut c, vl.len(), head.desc)
-            .unwrap();
-        assert_eq!((ro2, co2, vl2), (ro, co, vl));
+    fn v3_receiver_rejects_v2_headers() {
+        // The retired v2 header ('S2' plus its flag byte) is not v3 magic:
+        // the receiver reports the found bytes typed instead of decoding.
+        for flags in [0b00, 0b10, 0b11] {
+            let mut b = PackBuffer::new();
+            b.push_raw(&[b'S', b'2', flags]);
+            b.push_varint(0);
+            assert_eq!(
+                V3_PACKED.open_message(&mut b.cursor()),
+                Err(CompressError::WireHeader {
+                    found: [b'S', b'2', flags]
+                })
+            );
+        }
     }
 
     #[test]
@@ -1010,13 +989,12 @@ mod tests {
             let mut t = PackBuffer::new();
             t.push_raw(&bytes[..cut]);
             let mut c = t.cursor();
-            let r = V3_PACKED.open_message(&mut c).and_then(|head| {
-                let (p, _) = head
-                    .codec
-                    .decode_indices(&mut c, ro.len() - 1, head.desc)
+            let r = V3_PACKED.open_message(&mut c).and_then(|desc| {
+                let (p, _) = V3_PACKED
+                    .decode_indices(&mut c, ro.len() - 1, desc)
                     .map_err(|_| CompressError::Codec { reason: "idx" })?;
-                head.codec
-                    .decode_values(&mut c, p.last().copied().unwrap_or(0), head.desc)
+                V3_PACKED
+                    .decode_values(&mut c, p.last().copied().unwrap_or(0), desc)
                     .map_err(|_| CompressError::Codec { reason: "val" })?;
                 Ok(())
             });
@@ -1265,7 +1243,7 @@ mod tests {
             // Header and pointer run, common to every index codec.
             let mut head = PackBuffer::new();
             V3_PACKED.begin_message(&mut head, IDX_RAW);
-            super::super::push_monotone_run(&mut head, &pointer, FLAG_DELTA);
+            push_monotone_run(&mut head, &pointer);
             let priced = [
                 (IDX_RAW, 8 * indices.len()),
                 (IDX_DELTA, delta_index_bytes(&pointer, &indices)),
@@ -1286,6 +1264,8 @@ mod tests {
 
     #[test]
     fn codec_for_returns_v3() {
-        assert_eq!(codec_for(WireFormat::V3).format(), WireFormat::V3);
+        let mut b = PackBuffer::new();
+        codec_for(WireFormat::V3).begin_message(&mut b, IDX_PACKED);
+        assert_eq!(b.as_bytes(), [b'S', b'3', IDX_PACKED]);
     }
 }

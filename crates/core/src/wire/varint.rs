@@ -1,14 +1,13 @@
-//! Varint and zigzag primitives plus the streaming index-run writer and
-//! reader shared by the v2 and v3 codecs.
+//! Varint and zigzag primitives plus the streaming delta-varint
+//! index-run writer and reader behind v3's delta index codec.
 //!
 //! LEB128 encoding itself lives in the pack layer
 //! ([`PackBuffer::push_varint`] / `UnpackCursor::try_read_varint`); this
 //! module adds the size accounting the v3 negotiator needs
 //! ([`varint_len`]), the signed-to-unsigned fold for deltas that may go
 //! backwards ([`zigzag`]/[`unzigzag`]), and the segment-resetting run
-//! writer/reader that v2 streams travelling indices through.
+//! writer/reader.
 
-use super::{FLAG_DELTA, FLAG_IDX32};
 use sparsedist_multicomputer::pack::{PackBuffer, UnpackCursor, UnpackError};
 
 /// Bytes a LEB128 varint encoding of `v` occupies (1..=10).
@@ -35,90 +34,66 @@ pub fn unzigzag(v: u64) -> i64 {
 /// boundaries (the travelling `CO` indices of one CRS row / CCS column,
 /// or one ED segment's `C_ij` run).
 ///
-/// Under `DELTA` the first index after a [`IndexRunWriter::reset`] is
-/// written absolute and the rest as deltas from their predecessor;
-/// without `DELTA` each index is a fixed-width field.
-#[derive(Debug, Clone)]
+/// The first index after a [`IndexRunWriter::reset`] is written as an
+/// absolute varint and the rest as varint deltas from their predecessor.
+#[derive(Debug, Clone, Default)]
 pub struct IndexRunWriter {
-    flags: u8,
     prev: u64,
-    fresh: bool,
+    started: bool,
 }
 
 impl IndexRunWriter {
-    /// A writer for one message's negotiated flags, positioned at a
-    /// segment boundary.
-    pub fn new(flags: u8) -> Self {
-        IndexRunWriter {
-            flags,
-            prev: 0,
-            fresh: true,
-        }
+    /// A writer positioned at a segment boundary.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Mark a segment boundary: the next index is written absolute.
     pub fn reset(&mut self) {
-        self.prev = 0;
-        self.fresh = true;
+        *self = Self::default();
     }
 
     /// Append one index of the current segment's sorted run.
     pub fn push(&mut self, buf: &mut PackBuffer, v: usize) {
         let v = v as u64;
-        if self.flags & FLAG_DELTA != 0 {
-            debug_assert!(self.fresh || v >= self.prev, "index run is not sorted");
-            buf.push_varint(if self.fresh { v } else { v - self.prev });
-            self.prev = v;
-            self.fresh = false;
-        } else if self.flags & FLAG_IDX32 != 0 {
-            buf.push_u32(v as u32);
-        } else {
-            buf.push_u64(v);
-        }
+        debug_assert!(!self.started || v >= self.prev, "index run is not sorted");
+        buf.push_varint(if self.started { v - self.prev } else { v });
+        self.prev = v;
+        self.started = true;
     }
 }
 
 /// Streaming reader matching [`IndexRunWriter`], with the same
-/// segment-boundary [`IndexRunReader::reset`] protocol.
-#[derive(Debug, Clone)]
+/// segment-boundary [`IndexRunReader::reset`] protocol. Corrupt deltas
+/// that would overflow the running sum wrap rather than panic;
+/// structural validation is the caller's layer.
+#[derive(Debug, Clone, Default)]
 pub struct IndexRunReader {
-    flags: u8,
     prev: u64,
-    fresh: bool,
+    started: bool,
 }
 
 impl IndexRunReader {
-    /// A reader for the flags recovered from the message header.
-    pub fn new(flags: u8) -> Self {
-        IndexRunReader {
-            flags,
-            prev: 0,
-            fresh: true,
-        }
+    /// A reader positioned at a segment boundary.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Mark a segment boundary: the next index read is absolute.
     pub fn reset(&mut self) {
-        self.prev = 0;
-        self.fresh = true;
+        *self = Self::default();
     }
 
     /// Read one index of the current segment's run.
     pub fn next(&mut self, cursor: &mut UnpackCursor<'_>) -> Result<usize, UnpackError> {
-        if self.flags & FLAG_DELTA != 0 {
-            let d = cursor.try_read_varint()?;
-            self.prev = if self.fresh {
-                d
-            } else {
-                self.prev.wrapping_add(d)
-            };
-            self.fresh = false;
-            Ok(self.prev as usize)
-        } else if self.flags & FLAG_IDX32 != 0 {
-            cursor.try_read_u32().map(|v| v as usize)
+        let d = cursor.try_read_varint()?;
+        self.prev = if self.started {
+            self.prev.wrapping_add(d)
         } else {
-            cursor.try_read_u64().map(|v| v as usize)
-        }
+            d
+        };
+        self.started = true;
+        Ok(self.prev as usize)
     }
 }
 

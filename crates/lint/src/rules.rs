@@ -5,7 +5,7 @@
 //!
 //! * **D — determinism.** The headline property of the reproduction is
 //!   that SFC/CFS/ED virtual clocks are bit-identical across
-//!   sequential/parallel, traced/untraced and v1/v2 wire runs. A stray
+//!   traced/untraced and v1/v3 wire runs. A stray
 //!   `Instant::now()`, an ambient RNG or a `HashMap` iteration in a
 //!   clock-bearing module silently breaks that.
 //! * **P — phase-charge discipline.** Every microsecond on the virtual
@@ -236,7 +236,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "W001",
         summary: "narrowing integer cast (`as u8`/`as u16`/`as u32`)",
-        hint: "use try_from and surface the failure; narrowing belongs in the core/src/wire/ codec family where it is negotiated",
+        hint: "use try_from and surface the failure; narrowing belongs in the core/src/wire/ codec family, which checks each value first",
         kind: RuleKind::Tokens(&["as u8", "as u16", "as u32"]),
         include: ALL_SRC,
         exclude: &["crates/core/src/wire/**"],

@@ -10,11 +10,12 @@
 //! Indices travel as `u64`, values as `f64`, both little-endian, so a
 //! buffer has a well-defined wire layout (8 bytes per element) that
 //! [`UnpackCursor`] can walk on the receiving side. That is the **v1**
-//! layout; the compact **v2** layout built on the narrower primitives here
-//! (`u32` fields, LEB128 varints, raw framing bytes) is defined one level
-//! up, in `sparsedist-core`'s `wire` module. In every layout the element
-//! counter tracks *logical* elements — a varint-encoded index is still one
-//! element on the paper's cost model, however few bytes it occupies.
+//! layout; the compact **v3** layout built on the other primitives here
+//! (LEB128 varints, raw framing bytes, pre-sized byte ranges) is defined
+//! one level up, in `sparsedist-core`'s `wire` module. In every layout the
+//! element counter tracks *logical* elements — a varint-encoded index is
+//! still one element on the paper's cost model, however few bytes it
+//! occupies.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,19 +112,6 @@ impl PackBuffer {
         self.elems += vs.len() as u64;
     }
 
-    /// Append one narrow (4-byte) index element — the v2 wire format's
-    /// `IDX32` encoding for arrays whose dimensions fit in `u32`.
-    pub fn push_u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self.elems += 1;
-    }
-
-    /// Append a run of narrow index elements in one bulk byte copy.
-    pub fn push_u32_slice(&mut self, vs: &[u32]) {
-        extend_le_bulk!(self.bytes, vs, u32);
-        self.elems += vs.len() as u64;
-    }
-
     /// Append one index element as an LEB128 varint (1–10 bytes). Counts as
     /// one logical element regardless of its encoded width.
     pub fn push_varint(&mut self, mut v: u64) {
@@ -190,28 +178,6 @@ impl PackBuffer {
             });
         }
         self.bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Append a placeholder narrow (4-byte) index element and return its
-    /// byte offset for a later [`PackBuffer::patch_u32`] — the v2 analogue
-    /// of [`PackBuffer::push_u64_placeholder`].
-    pub fn push_u32_placeholder(&mut self) -> usize {
-        let at = self.bytes.len();
-        self.push_u32(0);
-        at
-    }
-
-    /// Overwrite the 4 bytes at `at` (from [`PackBuffer::push_u32_placeholder`])
-    /// with `v`. Does not change the element count.
-    pub fn patch_u32(&mut self, at: usize, v: u32) -> Result<(), PatchError> {
-        if at + 4 > self.bytes.len() {
-            return Err(PatchError {
-                at,
-                len: self.bytes.len(),
-            });
-        }
-        self.bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
@@ -501,27 +467,6 @@ impl<'a> UnpackCursor<'a> {
     /// Fallible read of one index element.
     pub fn try_read_u64(&mut self) -> Result<u64, UnpackError> {
         self.take8().map(u64::from_le_bytes)
-    }
-
-    /// Fallible read of one narrow (4-byte) index element.
-    pub fn try_read_u32(&mut self) -> Result<u32, UnpackError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(UnpackError {
-                at: self.pos,
-                remaining: self.bytes.len() - self.pos,
-            });
-        }
-        let mut out = [0u8; 4];
-        out.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
-        Ok(u32::from_le_bytes(out))
-    }
-
-    /// Read one narrow index element, panicking on truncation.
-    pub fn read_u32(&mut self) -> u32 {
-        // lint: allow(E002) — documented panicking convenience over try_read_u32
-        self.try_read_u32().expect("truncated pack buffer")
     }
 
     /// Fallible read of one LEB128 varint element (at most 10 bytes).
@@ -829,25 +774,6 @@ mod tests {
         assert_eq!(
             bulk, scalar,
             "bulk pushes must be byte-identical to scalar pushes"
-        );
-    }
-
-    #[test]
-    fn u32_round_trip_and_placeholder() {
-        let mut b = PackBuffer::new();
-        let slot = b.push_u32_placeholder();
-        b.push_u32_slice(&[7, u32::MAX]);
-        b.patch_u32(slot, 42).unwrap();
-        assert_eq!(b.elem_count(), 3);
-        assert_eq!(b.byte_len(), 12);
-        let mut c = b.cursor();
-        assert_eq!(c.read_u32(), 42);
-        assert_eq!(c.read_u32(), 7);
-        assert_eq!(c.read_u32(), u32::MAX);
-        assert!(c.is_exhausted());
-        assert_eq!(
-            b.patch_u32(9, 0).unwrap_err(),
-            PatchError { at: 9, len: 12 }
         );
     }
 

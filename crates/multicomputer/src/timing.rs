@@ -167,12 +167,12 @@ impl AddAssign for FaultStats {
 /// Bytes-on-the-wire counters for one simulated processor.
 ///
 /// The paper's cost model charges `T_Data` per *logical element*, which is
-/// what the virtual clock books — but with the compact v2 wire format a
+/// what the virtual clock books — but with the compact v3 wire format a
 /// logical element no longer costs a fixed 8 bytes, so the engine also
 /// counts every **physical transmission** here: one record per data frame
 /// leaving this rank (retransmissions included), with its logical element
 /// count and its actual encoded byte size. Comparing `elements * 8` with
-/// `bytes` is exactly the v1-vs-v2 wire saving.
+/// `bytes` is exactly the v1-vs-v3 wire saving.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Data frames transmitted from this rank (retransmissions included).

@@ -17,11 +17,9 @@
 //! byte-identical to an untraced run. With a sink attached the clocks are
 //! *still* identical — the spans are a pure function of the charges.
 //!
-//! Work mapped over parts on scoped host threads (`map_parts` in
-//! `sparsedist-core`) reports per-part op counts merged in part order, and
-//! the enclosing phase span is subdivided proportionally into child spans
-//! — the same subdivision a sequential execution would produce, so
-//! sequential and parallel runs yield identical span sets.
+//! Work mapped over parts (`map_parts_counted` in `sparsedist-core`)
+//! reports per-part op counts in part order, and the enclosing phase span
+//! is subdivided proportionally into one child span per part.
 //!
 //! # Sinks and exporters
 //!

@@ -4,8 +4,8 @@
 //! [`FaultPlan::chaos`] turns a seed into a fault plan mixing drops,
 //! corruption, link delays and one mid-run rank death. This harness
 //! sweeps well over a hundred such plans across every scheme and a
-//! rotation of pipeline configs (wire format, parallel encode,
-//! overlapped sends, chunked streaming) and holds each run to exactly
+//! rotation of pipeline configs (wire format, overlapped sends, chunked
+//! streaming) and holds each run to exactly
 //! two acceptable outcomes:
 //!
 //! 1. **Golden reconstruction** — the run succeeds and the reassembled
@@ -36,8 +36,7 @@ fn config_for(seed: u64) -> SchemeConfig {
     match seed % 5 {
         0 => SchemeConfig::default(),
         1 => SchemeConfig {
-            wire: WireFormat::V2,
-            parallel: true,
+            wire: WireFormat::V3,
             ..SchemeConfig::default()
         },
         2 => SchemeConfig::overlapped(),

@@ -2,8 +2,8 @@
 //!
 //! Every scheme now runs through the same staged driver
 //! (`sparsedist_core::schemes::pipeline`), so one property covers them
-//! all: whatever knobs `SchemeConfig` turns — wire format, host-side
-//! parallel encode, overlapped nonblocking sends, chunked streaming —
+//! all: whatever knobs `SchemeConfig` turns — wire format and codec,
+//! overlapped nonblocking sends, chunked streaming —
 //! and whatever fault plan the machine carries, the distributed state
 //! (`SchemeRun::locals`) and the reassembled array are identical to the
 //! default staged run's. The knobs trade scheduling and byte layout,
@@ -55,39 +55,30 @@ fn arb_scheme() -> impl Strategy<Value = SchemeKind> {
 }
 
 fn arb_config() -> impl Strategy<Value = SchemeConfig> {
-    let arb_bool = || prop_oneof![Just(false), Just(true)];
     (
-        prop_oneof![
-            Just(WireFormat::V1),
-            Just(WireFormat::V2),
-            Just(WireFormat::V3)
-        ],
+        prop_oneof![Just(WireFormat::V1), Just(WireFormat::V3)],
         prop_oneof![
             Just(CodecChoice::Auto),
             Just(CodecChoice::Raw),
             Just(CodecChoice::Delta),
             Just(CodecChoice::Packed)
         ],
-        arb_bool(),
-        arb_bool(),
+        prop_oneof![Just(false), Just(true)],
         prop_oneof![Just(0usize), 1usize..64],
     )
-        .prop_map(
-            |(wire, codec, parallel, overlap, chunk_elems)| SchemeConfig {
-                wire,
-                codec,
-                parallel,
-                overlap,
-                chunk_elems,
-            },
-        )
+        .prop_map(|(wire, codec, overlap, chunk_elems)| SchemeConfig {
+            wire,
+            codec,
+            overlap,
+            chunk_elems,
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The unified driver's state is config-invariant: any combination of
-    /// wire format, parallel encode, overlap and chunking — fault-free or
+    /// wire format, codec, overlap and chunking — fault-free or
     /// under a recoverable drop plan — delivers exactly the locals (and
     /// therefore the reassembled array) of the default staged run.
     #[test]

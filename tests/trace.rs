@@ -1,12 +1,10 @@
 //! Integration tests for the observability layer: golden Chrome-trace
-//! exports, tracing-is-observational guarantees, and sequential/parallel
-//! span equivalence.
+//! exports and tracing-is-observational guarantees.
 //!
 //! The golden fixtures live in `tests/goldens/trace_*_n64_p4.json`.
 //! Regenerate them after an intentional trace-schema change with
 //! `UPDATE_GOLDENS=1 cargo test --test trace` and review the diff.
 
-use proptest::prelude::*;
 use sparsedist::gen::SparseRandom;
 use sparsedist::multicomputer::{
     chrome_trace_json, FaultPlan, MemorySink, NullSink, RankTrace, RetryPolicy,
@@ -129,53 +127,5 @@ fn tracing_never_perturbs_the_run() {
         assert_eq!(untraced.ledgers, with_null.ledgers, "{scheme}");
         assert_eq!(untraced.ledgers, traced.ledgers, "{scheme}");
         assert_eq!(untraced.locals, traced.locals, "{scheme}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Host-side parallelism is invisible to the trace: the per-part op
-    /// counts are merged in part order, so sequential and parallel runs
-    /// emit identical spans and identical ledgers (fault-free).
-    #[test]
-    fn parallel_and_sequential_runs_trace_identically(
-        seed in 0u64..1000,
-        n in 16usize..48,
-        p in 2usize..5,
-        scheme_ix in 0usize..3,
-        wire_ix in 0usize..2,
-    ) {
-        let scheme = [SchemeKind::Sfc, SchemeKind::Cfs, SchemeKind::Ed][scheme_ix];
-        let wire = [WireFormat::V1, WireFormat::V2][wire_ix];
-        let a = SparseRandom::new(n, n).sparse_ratio(0.15).seed(seed).generate();
-        let part = RowBlock::new(n, n, p);
-
-        let mut traces = Vec::new();
-        for parallel in [false, true] {
-            let sink = Arc::new(MemorySink::new());
-            let machine = Multicomputer::virtual_machine(p, MachineModel::ibm_sp2())
-                .with_trace_sink(sink.clone());
-            run_scheme_with(
-                scheme,
-                &machine,
-                &a,
-                &part,
-                CompressKind::Crs,
-                SchemeConfig {
-                    wire,
-                    parallel,
-                    ..SchemeConfig::default()
-                },
-            )
-            .unwrap();
-            traces.push(sink.take());
-        }
-        let (seq, par) = (&traces[0], &traces[1]);
-        prop_assert_eq!(seq.len(), par.len());
-        for (s, q) in seq.iter().zip(par) {
-            prop_assert_eq!(&s.spans, &q.spans, "rank {} spans differ", s.rank);
-            prop_assert_eq!(&s.ledger, &q.ledger, "rank {} ledger differs", s.rank);
-        }
     }
 }

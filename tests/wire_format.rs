@@ -1,5 +1,5 @@
-//! Byte-exact goldens for the v1, v2 and v3 wire layouts, plus property
-//! tests showing all formats decode to identical compressed state.
+//! Byte-exact goldens for the v1 and v3 wire layouts, plus property
+//! tests showing both formats decode to identical compressed state.
 //!
 //! The expected byte streams are written out field by field, independently
 //! of the packing code, so any layout drift — field order, widths, varint
@@ -24,11 +24,6 @@ use std::fmt::Write as _;
 
 /// Append a little-endian `u64` field to an expected stream.
 fn le64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a little-endian `u32` field to an expected stream.
-fn le32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -73,35 +68,6 @@ fn cfs_triple_v1_bytes_golden() {
 }
 
 #[test]
-fn cfs_triple_v2_bytes_golden() {
-    let mut buf = PackBuffer::new();
-    wire::pack_triple_into(
-        &mut buf,
-        &POINTER,
-        &INDICES,
-        &VALUES,
-        8,
-        &WirePolicy::of(WireFormat::V2),
-    );
-
-    // v2: "S2" magic + flags (DELTA|IDX32 = 0b11), the pointer as an
-    // absolute varint then deltas, each segment's indices as an absolute
-    // varint then deltas (run state resets at segment boundaries), then
-    // the values still as raw LE f64.
-    let mut expect: Vec<u8> = vec![b'S', b'2', 0b11];
-    expect.extend_from_slice(&[0, 2, 0, 3]); // pointer 0, +2, +0, +3
-    expect.extend_from_slice(&[1, 5]); // segment 0: 1, +5
-    expect.extend_from_slice(&[0, 3, 4]); // segment 2: 0, +3, +4
-    for v in VALUES {
-        lef(&mut expect, v);
-    }
-    assert_eq!(buf.as_bytes(), expect.as_slice());
-    assert_eq!(buf.byte_len(), 3 + 4 + 5 + 40);
-    // Same logical elements as v1: the virtual clock sees no difference.
-    assert_eq!(buf.elem_count(), 4 + 2 * 5);
-}
-
-#[test]
 fn ed_buffer_v1_bytes_golden() {
     // ED special buffer B for P0 of the paper's Figure 1 array under the
     // row partition: rows 0..3 hold (r0: col 1 → 1.0), (r1: col 6 → 2.0),
@@ -134,40 +100,6 @@ fn ed_buffer_v1_bytes_golden() {
     lef(&mut expect, 4.0);
     assert_eq!(buf.as_bytes(), expect.as_slice());
     assert_eq!(buf.byte_len(), 11 * 8);
-    assert_eq!(buf.elem_count(), 3 + 2 * 4);
-}
-
-#[test]
-fn ed_buffer_v2_bytes_golden() {
-    // The same buffer under v2: header, u32 counts (IDX32), delta-varint
-    // indices resetting per row, raw f64 values.
-    let a = paper_array_a();
-    let part = RowBlock::new(10, 8, 4);
-    let mut buf = PackBuffer::new();
-    encode_part_into(
-        &mut buf,
-        &a,
-        &part,
-        0,
-        CompressKind::Crs,
-        &WirePolicy::of(WireFormat::V2),
-        &mut OpCounter::new(),
-    );
-
-    let mut expect: Vec<u8> = vec![b'S', b'2', 0b11];
-    le32(&mut expect, 1); // R_0
-    expect.push(1);
-    lef(&mut expect, 1.0);
-    le32(&mut expect, 1); // R_1
-    expect.push(6);
-    lef(&mut expect, 2.0);
-    le32(&mut expect, 2); // R_2
-    expect.push(0);
-    lef(&mut expect, 3.0);
-    expect.push(7);
-    lef(&mut expect, 4.0);
-    assert_eq!(buf.as_bytes(), expect.as_slice());
-    assert_eq!(buf.byte_len(), 3 + 3 * 4 + 4 + 4 * 8);
     assert_eq!(buf.elem_count(), 3 + 2 * 4);
 }
 
@@ -416,10 +348,9 @@ fn v3_index_encodings_bytes_golden() {
             assert_eq!(buf.as_bytes(), expect.as_slice(), "{pointer:?} desc {desc}");
             assert_eq!(buf.elem_count(), (pointer.len() + indices.len()) as u64);
             let mut c = buf.cursor();
-            let head = V3_PACKED.open_message(&mut c).unwrap();
-            let back = head
-                .codec
-                .decode_indices(&mut c, pointer.len() - 1, head.desc)
+            let got = V3_PACKED.open_message(&mut c).unwrap();
+            let back = V3_PACKED
+                .decode_indices(&mut c, pointer.len() - 1, got)
                 .unwrap();
             assert!(c.is_exhausted());
             assert_eq!(back, (pointer.clone(), indices.clone()));
@@ -556,10 +487,10 @@ fn arb_dense() -> impl Strategy<Value = Dense2D> {
 
 proptest! {
     #[test]
-    fn v2_triple_round_trips_to_v1_state(a in arb_dense(), nparts in 1usize..5) {
+    fn v3_triple_round_trips_to_v1_state(a in arb_dense(), nparts in 1usize..5) {
         // The CFS wire path: compress at the source with global indices,
-        // pack under both formats, unpack both — identical RO/CO/VL and
-        // identical logical element counts.
+        // pack under v1 and under v3 with every codec choice, unpack —
+        // identical RO/CO/VL and identical logical element counts.
         let part = RowBlock::new(a.rows(), a.cols(), nparts);
         for pid in 0..nparts {
             let crs = sparsedist::core::compress::Crs::from_part_global(
@@ -567,17 +498,9 @@ proptest! {
             );
             let (lrows, _) = part.local_shape(pid);
             let mut v1 = PackBuffer::new();
-            let mut v2 = PackBuffer::new();
             wire::pack_triple_into(&mut v1, crs.ro(), crs.co(), crs.vl(), a.cols(), &WirePolicy::of(WireFormat::V1));
-            wire::pack_triple_into(&mut v2, crs.ro(), crs.co(), crs.vl(), a.cols(), &WirePolicy::of(WireFormat::V2));
-            prop_assert_eq!(v1.elem_count(), v2.elem_count());
-            prop_assert!(v2.byte_len() <= v1.byte_len() + wire::HEADER_LEN);
-
             let from_v1 =
                 wire::unpack_triple(&mut v1.cursor(), lrows, WireFormat::V1).unwrap();
-            let from_v2 =
-                wire::unpack_triple(&mut v2.cursor(), lrows, WireFormat::V2).unwrap();
-            prop_assert_eq!(&from_v1, &from_v2);
             prop_assert_eq!(from_v1.0.as_slice(), crs.ro());
             prop_assert_eq!(from_v1.1.as_slice(), crs.co());
             prop_assert_eq!(from_v1.2.as_slice(), crs.vl());
@@ -597,32 +520,24 @@ proptest! {
     }
 
     #[test]
-    fn v2_encode_decodes_to_v1_state(a in arb_dense(), nparts in 1usize..5) {
+    fn v3_encode_decodes_to_v1_state(a in arb_dense(), nparts in 1usize..5) {
         // The ED wire path: encode under both formats, decode each with
         // its own format — identical compressed local state and ops.
         let part = RowBlock::new(a.rows(), a.cols(), nparts);
         for kind in [CompressKind::Crs, CompressKind::Ccs] {
             for pid in 0..nparts {
                 let mut v1 = PackBuffer::new();
-                let mut v2 = PackBuffer::new();
                 let mut v3 = PackBuffer::new();
                 let mut ops1 = OpCounter::new();
-                let mut ops2 = OpCounter::new();
                 let mut ops3 = OpCounter::new();
                 encode_part_into(&mut v1, &a, &part, pid, kind, &WirePolicy::of(WireFormat::V1), &mut ops1);
-                encode_part_into(&mut v2, &a, &part, pid, kind, &WirePolicy::of(WireFormat::V2), &mut ops2);
                 encode_part_into(&mut v3, &a, &part, pid, kind, &WirePolicy::of(WireFormat::V3), &mut ops3);
-                prop_assert_eq!(ops1.get(), ops2.get());
                 prop_assert_eq!(ops1.get(), ops3.get());
-                prop_assert_eq!(v1.elem_count(), v2.elem_count());
                 prop_assert_eq!(v1.elem_count(), v3.elem_count());
 
                 let d1 = decode_part_wire(&v1, &part, pid, kind, WireFormat::V1, &mut ops1).unwrap();
-                let d2 = decode_part_wire(&v2, &part, pid, kind, WireFormat::V2, &mut ops2).unwrap();
                 let d3 = decode_part_wire(&v3, &part, pid, kind, WireFormat::V3, &mut ops3).unwrap();
-                prop_assert_eq!(&d1, &d2);
                 prop_assert_eq!(&d1, &d3);
-                prop_assert_eq!(ops1.get(), ops2.get());
                 prop_assert_eq!(ops1.get(), ops3.get());
             }
         }
@@ -630,8 +545,8 @@ proptest! {
 
     #[test]
     fn schemes_agree_across_formats_end_to_end(seed_nnz in 1usize..60) {
-        // Full distribution on a virtual machine under every scheme:
-        // compact-parallel config reproduces the default's locals exactly.
+        // Full distribution on a virtual machine under every scheme: the
+        // v3 config reproduces the default's locals exactly.
         let mut a = Dense2D::zeros(12, 12);
         for i in 0..seed_nnz {
             a.set((i * 5) % 12, (i * 7 + i / 12) % 12, 1.0 + i as f64);
@@ -640,12 +555,10 @@ proptest! {
         let m = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
         for scheme in SchemeKind::ALL {
             let base = run_scheme(scheme, &m, &a, &part, CompressKind::Crs).unwrap();
-            let fast = run_scheme_with(
-                scheme, &m, &a, &part, CompressKind::Crs, SchemeConfig::compact_parallel(),
-            )
-            .unwrap();
-            prop_assert_eq!(&base.locals, &fast.locals);
-            prop_assert_eq!(fast.reassemble(&part), a.clone());
+            let v3 = SchemeConfig { wire: WireFormat::V3, ..SchemeConfig::default() };
+            let compact = run_scheme_with(scheme, &m, &a, &part, CompressKind::Crs, v3).unwrap();
+            prop_assert_eq!(&base.locals, &compact.locals);
+            prop_assert_eq!(compact.reassemble(&part), a.clone());
         }
     }
 }

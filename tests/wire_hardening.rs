@@ -1,5 +1,5 @@
-//! Decoder hardening: fuzz-style malformed-frame sweeps over all three
-//! wire formats, plus receiver-side mixed-version acceptance.
+//! Decoder hardening: fuzz-style malformed-frame sweeps over both wire
+//! formats, plus the v3 receiver's typed rejection of retired v2 streams.
 //!
 //! Every mutation below — truncation at each byte boundary, single-byte
 //! corruption at each offset — must surface as a typed error or, for
@@ -10,6 +10,8 @@
 //! sweeps cut and flip real encoded streams rather than hand-written ones
 //! so they track the current layouts automatically.
 
+use sparsedist::core::compress::CompressError;
+use sparsedist::core::error::SparsedistError;
 use sparsedist::core::wire::{self, CodecChoice, WireFormat, WirePolicy};
 use sparsedist::multicomputer::{MachineModel, PackBuffer};
 
@@ -35,10 +37,7 @@ const BOUND: usize = 64;
 
 /// Every (format, codec) pairing a sender can put on the wire.
 fn policies() -> Vec<WirePolicy> {
-    let mut out = vec![
-        WirePolicy::of(WireFormat::V1),
-        WirePolicy::of(WireFormat::V2),
-    ];
+    let mut out = vec![WirePolicy::of(WireFormat::V1)];
     for choice in [
         CodecChoice::Raw,
         CodecChoice::Delta,
@@ -173,23 +172,37 @@ fn counts_beyond_the_frame_are_rejected_or_leave_trailing_bytes() {
     }
 }
 
-/// Mixed-version negotiation, receiver side: a v3 decoder accepts a v2
-/// stream (the header self-describes, so old senders keep working), while
-/// a v2 decoder refuses a v3 stream with a typed error instead of
-/// misparsing it as payload.
+/// The Fig. 7 triple (pointer `[0,2,2,5]`, indices `[1,6 | — | 0,3,7]`,
+/// values 1.5..5.5) as the retired v2 format wrote it: `'S2'`, flags
+/// `0b11`, delta-varint pointer and index runs, raw `f64` values.
+const FIG7_V2_HEX: &str = "533203000200030105000304\
+    000000000000f83f0000000000000440000000000000\
+    0c4000000000000012400000000000001640";
+
+fn from_hex(hex: &str) -> Vec<u8> {
+    let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// A well-formed v2 stream is no longer accepted anywhere: the v3 decoder
+/// reports its header as a typed error, as a triple and as a value
+/// stream, and never panics or misreads it as payload.
 #[test]
-fn v3_receiver_accepts_v2_but_not_vice_versa() {
-    let (pointer, indices, values) = fixture();
-    let nseg = pointer.len() - 1;
-
-    let v2 = encode(&WirePolicy::of(WireFormat::V2));
-    let (ro, co, vl) = wire::unpack_triple(&mut v2.cursor(), nseg, WireFormat::V3)
-        .expect("v3 decoder reads a v2 stream");
-    assert_eq!((ro, co, vl), (pointer, indices, values));
-
-    let v3 = encode(&WirePolicy::of(WireFormat::V3));
-    assert!(
-        wire::unpack_triple(&mut v3.cursor(), nseg, WireFormat::V2).is_err(),
-        "a v2 decoder must reject the v3 header"
+fn v3_receiver_rejects_a_v2_stream_typed() {
+    let v2 = from_bytes(&from_hex(FIG7_V2_HEX));
+    assert_eq!(v2.byte_len(), 3 + 4 + 5 + 5 * 8);
+    let expect = SparsedistError::Compress(CompressError::WireHeader {
+        found: [b'S', b'2', 0b11],
+    });
+    assert_eq!(
+        wire::unpack_triple(&mut v2.cursor(), 3, WireFormat::V3),
+        Err(expect.clone())
+    );
+    assert_eq!(
+        wire::unpack_values(&mut v2.cursor(), 5, WireFormat::V3),
+        Err(expect)
     );
 }
