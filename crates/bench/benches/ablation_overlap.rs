@@ -1,10 +1,11 @@
 //! Ablation: encode-then-send-all vs overlapped encode/send in the ED
-//! scheme, and reduce-based vs row-conformal distributed SpMV.
+//! scheme, and the halo-exchange SpMV on the distributed state.
 //!
 //! With the pipeline driver's nonblocking sends (`SchemeConfig::overlap`),
 //! overlap shrinks the makespan and the mean completion time across
-//! receivers while leaving every non-`Send` phase aggregate untouched;
-//! the row-conformal SpMV relieves the root's send hotspot.
+//! receivers while leaving every non-`Send` phase aggregate untouched.
+//! The SpMV line reports the busiest rank's send time and the messages
+//! per product: no rank ships more than its neighbours' halo entries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparsedist_bench::workload;
@@ -12,7 +13,7 @@ use sparsedist_core::compress::CompressKind;
 use sparsedist_core::partition::RowBlock;
 use sparsedist_core::schemes::{run_scheme, run_scheme_with, SchemeConfig, SchemeKind, SchemeRun};
 use sparsedist_multicomputer::{MachineModel, Multicomputer, Phase};
-use sparsedist_ops::spmv::{distributed_spmv_ledgers, distributed_spmv_rowwise_ledgers};
+use sparsedist_ops::spmv::SpmvPlan;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -54,16 +55,18 @@ fn bench_overlap(c: &mut Criterion) {
     );
 
     let x = vec![1.0; n];
-    let (_, lg) = distributed_spmv_ledgers(&machine, &plain, &part, &x).unwrap();
-    let (_, lr) = distributed_spmv_rowwise_ledgers(&machine, &plain, &part, &x).unwrap();
-    let send_max = |ls: &[sparsedist_multicomputer::PhaseLedger]| -> f64 {
-        ls.iter()
-            .map(|l| l.get(Phase::Send).as_micros())
-            .fold(0.0, f64::max)
-    };
-    eprintln!("\nDistributed SpMV root hotspot (max per-rank send):");
-    eprintln!("  reduce-based:  {:.3}ms", send_max(&lg) / 1000.0);
-    eprintln!("  row-conformal: {:.3}ms", send_max(&lr) / 1000.0);
+    let plan = SpmvPlan::new(&plain, &part);
+    let (_, ledgers) = plan.apply_ledgers(&machine, &x).unwrap();
+    let send_max = ledgers
+        .iter()
+        .map(|l| l.get(Phase::Send).as_micros())
+        .fold(0.0, f64::max);
+    let messages: u64 = ledgers.iter().map(|l| l.wire().messages).sum();
+    eprintln!("\nHalo-exchange SpMV (one product):");
+    eprintln!(
+        "  max per-rank send {:.3}ms, {messages} messages",
+        send_max / 1000.0
+    );
     eprintln!();
 
     let mut g = c.benchmark_group("ablation_overlap");
@@ -93,15 +96,8 @@ fn bench_overlap(c: &mut Criterion) {
             ))
         })
     });
-    g.bench_function(BenchmarkId::new("spmv", "reduce"), |b| {
-        b.iter(|| black_box(distributed_spmv_ledgers(&machine, &plain, &part, &x)))
-    });
-    g.bench_function(BenchmarkId::new("spmv", "rowwise"), |b| {
-        b.iter(|| {
-            black_box(distributed_spmv_rowwise_ledgers(
-                &machine, &plain, &part, &x,
-            ))
-        })
+    g.bench_function(BenchmarkId::new("spmv", "halo"), |b| {
+        b.iter(|| black_box(plan.apply_ledgers(&machine, &x)))
     });
     g.finish();
 }

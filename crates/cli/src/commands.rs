@@ -17,7 +17,7 @@ use sparsedist_multicomputer::{
     chrome_trace_json, metrics_json, render_phase_table, render_waterfall, EngineKind, FaultPlan,
     MachineModel, MemorySink, Multicomputer, Phase, RankTrace, RetryPolicy,
 };
-use sparsedist_ops::spmv::distributed_spmv;
+use sparsedist_ops::spmv::distributed_spmv_ledgers;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -813,19 +813,26 @@ pub fn spmv(p: &Parsed) -> Result<String, CmdError> {
     let run = run_scheme(scheme, &machine, &a, part.as_ref(), CompressKind::Crs)
         .map_err(|e| e.to_string())?;
     let x = vec![1.0; a.cols()];
-    let y = distributed_spmv(&machine, &run, part.as_ref(), &x).map_err(|e| e.to_string())?;
+    let (y, ledgers) =
+        distributed_spmv_ledgers(&machine, &run, part.as_ref(), &x).map_err(|e| e.to_string())?;
     let checksum: f64 = y.iter().sum();
-    let compute_max = run
-        .ledgers
+    let compute_max = ledgers
         .iter()
         .map(|l| l.get(Phase::Compute).as_micros())
         .fold(0.0f64, f64::max);
+    let (messages, bytes) = ledgers.iter().fold((0, 0), |(m, b), l| {
+        let w = l.wire();
+        (m + w.messages, b + w.bytes)
+    });
     Ok(format!(
-        "y = A·1 over {} processors: checksum {:.6}, ||y||_inf {:.6}, max compute {:.3}ms\n",
+        "y = A·1 over {} processors: checksum {:.6}, ||y||_inf {:.6}, max compute {:.3}ms, \
+         {} messages, {} bytes\n",
         procs,
         checksum,
         y.iter().fold(0.0f64, |m, v| m.max(v.abs())),
-        compute_max / 1000.0
+        compute_max / 1000.0,
+        messages,
+        bytes
     ))
 }
 
@@ -1246,7 +1253,20 @@ mod tests {
         let s = crate::run(&argv(&format!("spmv {path} --procs 4"))).unwrap();
         // Laplacian row sums: interior 0, boundary positive; checksum is
         // the total of all row sums = sum of boundary contributions.
-        assert!(s.contains("checksum"), "{s}");
+        let a = super::load(&path).unwrap();
+        let want: f64 = sparsedist_ops::spmv::dense_spmv(&a, &[1.0; 36])
+            .iter()
+            .sum();
+        assert!(want > 0.0);
+        assert!(s.contains(&format!("checksum {want:.6},")), "{s}");
+        let compute: f64 = s
+            .split("max compute ")
+            .nth(1)
+            .and_then(|rest| rest.split("ms").next())
+            .and_then(|ms| ms.parse().ok())
+            .unwrap_or_else(|| panic!("no max compute in {s}"));
+        assert!(compute > 0.0, "{s}");
+        assert!(s.contains(" messages, "), "{s}");
     }
 
     #[test]

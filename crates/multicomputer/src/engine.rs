@@ -240,7 +240,7 @@ pub struct Multicomputer {
     retry: RetryPolicy,
     /// One buffer-reuse arena per rank, persisting across `run_*` calls so
     /// repeated distributions stop reallocating their send buffers.
-    arenas: Vec<Arc<PackArena>>,
+    arenas: Vec<Rc<PackArena>>,
     /// Where completed rank traces go; `None` (the default) and disabled
     /// sinks allocate no tracer at all.
     sink: Option<Arc<dyn TraceSink>>,
@@ -285,7 +285,7 @@ impl Multicomputer {
             topology,
             faults: None,
             retry: RetryPolicy::default(),
-            arenas: (0..nprocs).map(|_| Arc::new(PackArena::new())).collect(),
+            arenas: (0..nprocs).map(|_| Rc::new(PackArena::new())).collect(),
             sink: None,
         }
     }
@@ -456,7 +456,7 @@ pub struct Env {
     tracer: Option<Tracer>,
     plan: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
-    arena: Arc<PackArena>,
+    arena: Rc<PackArena>,
     /// Outgoing-link progress state for nonblocking sends ([`Env::isend`]).
     nic: NicProgress,
     /// Next per-link sequence number, keyed by destination. Sparse on
@@ -479,7 +479,7 @@ impl Env {
             tracer: tracing.then(|| Tracer::new(rank)),
             plan: machine.faults.clone(),
             retry: machine.retry,
-            arena: Arc::clone(&machine.arenas[rank]),
+            arena: Rc::clone(&machine.arenas[rank]),
             nic: NicProgress::new(),
             send_seq: BTreeMap::new(),
             fabric,

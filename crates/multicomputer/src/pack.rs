@@ -17,9 +17,8 @@
 //! still one element on the paper's cost model, however few bytes it
 //! occupies.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Append a slice of 8-byte values to `out` as little-endian bytes in one
 /// `memcpy` when the host layout already matches the wire layout, falling
@@ -240,21 +239,19 @@ impl PackBuffer {
 /// Repeated distributions allocate and drop one send buffer per part per
 /// run; the arena keeps the freed allocations so the next run's
 /// [`PackArena::checkout`] reuses them instead of growing fresh vectors
-/// from zero. Thread-safe (the engine hands one arena per rank across
-/// scoped threads) and deterministic: recycling only changes *where* the
-/// bytes live, never what is written into them.
+/// from zero. Single-threaded, like the event loop that runs every rank
+/// task, and deterministic: recycling only changes *where* the bytes
+/// live, never what is written into them.
 #[derive(Debug, Default)]
 pub struct PackArena {
-    free: Mutex<Vec<Vec<u8>>>,
-    checkouts: AtomicU64,
-    reuses: AtomicU64,
-    recycles: AtomicU64,
+    free: RefCell<Vec<Vec<u8>>>,
+    checkouts: Cell<u64>,
+    reuses: Cell<u64>,
+    recycles: Cell<u64>,
 }
 
 /// Cumulative allocation-reuse counters of a [`PackArena`], since the
-/// arena was created (arenas persist across `run_*` calls). Counted with
-/// relaxed atomics — totals are exact, cross-thread ordering is not
-/// observable.
+/// arena was created (arenas persist across `run_*` calls).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Buffers handed out by [`PackArena::checkout`].
@@ -274,14 +271,13 @@ impl PackArena {
     /// Take a cleared buffer with at least `cap_bytes` of capacity,
     /// preferring a recycled allocation over a fresh one.
     pub fn checkout(&self, cap_bytes: usize) -> PackBuffer {
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(E002) — a poisoned arena means a rank panicked; propagate
-        let mut free = self.free.lock().expect("pack arena poisoned");
+        self.checkouts.set(self.checkouts.get() + 1);
+        let mut free = self.free.borrow_mut();
         // Largest vectors are kept at the back; take the biggest available
         // so one hot buffer stops the whole pool from re-growing.
         let bytes = match free.pop() {
             Some(mut v) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
+                self.reuses.set(self.reuses.get() + 1);
                 v.clear();
                 if v.capacity() < cap_bytes {
                     v.reserve(cap_bytes);
@@ -304,26 +300,24 @@ impl PackArena {
         if bytes.capacity() == 0 {
             return;
         }
-        self.recycles.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(E002) — a poisoned arena means a rank panicked; propagate
-        let mut free = self.free.lock().expect("pack arena poisoned");
+        self.recycles.set(self.recycles.get() + 1);
+        let mut free = self.free.borrow_mut();
         free.push(bytes);
         free.sort_by_key(Vec::capacity);
     }
 
     /// Number of pooled allocations currently available.
     pub fn pooled(&self) -> usize {
-        // lint: allow(E002) — a poisoned arena means a rank panicked; propagate
-        self.free.lock().expect("pack arena poisoned").len()
+        self.free.borrow().len()
     }
 
     /// Cumulative checkout/reuse/recycle counters — the engine folds these
     /// into each rank's metrics registry when tracing.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            checkouts: self.checkouts.load(Ordering::Relaxed),
-            reuses: self.reuses.load(Ordering::Relaxed),
-            recycles: self.recycles.load(Ordering::Relaxed),
+            checkouts: self.checkouts.get(),
+            reuses: self.reuses.get(),
+            recycles: self.recycles.get(),
         }
     }
 }

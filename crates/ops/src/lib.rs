@@ -9,13 +9,15 @@
 //! those downstream operations:
 //!
 //! * [`spmv`] — local CRS/CCS sparse matrix–vector products, a dense
-//!   baseline, and a distributed SpMV that runs over a
+//!   baseline, and a halo-exchange distributed SpMV
+//!   ([`spmv::SpmvPlan`]) that runs over a
 //!   [`sparsedist_multicomputer::Multicomputer`] on the local arrays a
-//!   scheme run leaves behind;
+//!   scheme run leaves behind, sending each rank only the `x` entries its
+//!   nonzeros touch;
 //! * [`elementwise`] — scaling, sparse addition, Frobenius norm;
 //! * [`transpose`] — CRS↔CCS conversions (transposition in disguise);
-//! * [`solve`] — Jacobi and conjugate-gradient solvers whose matrix-vector
-//!   products run distributed;
+//! * [`solve`] — Jacobi and conjugate-gradient solvers that plan one halo
+//!   exchange and reuse it for every matrix–vector product;
 //! * [`distributed`] — operations on the distributed representation
 //!   itself: scale, add, Frobenius norm (allreduce) and a no-gather
 //!   distributed transpose.
