@@ -15,12 +15,16 @@
 use sparsedist::core::gather::{gather_global, GatherStrategy};
 use sparsedist::core::redistribute::{redistribute, RedistStrategy};
 use sparsedist::gen::SparseRandom;
-use sparsedist::multicomputer::{FaultPlan, PhaseLedger, RetryPolicy};
+use sparsedist::multicomputer::pack::crc32;
+use sparsedist::multicomputer::{
+    chrome_trace_json, FaultPlan, MemorySink, PhaseLedger, RetryPolicy,
+};
 use sparsedist::ops::distributed::{distributed_frobenius, distributed_transpose};
 use sparsedist::ops::spmv::distributed_spmv_ledgers;
 use sparsedist::prelude::*;
 use std::fmt::Debug;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const N: usize = 24;
 const P: usize = 4;
@@ -236,4 +240,83 @@ fn routed_overlap_ledgers_match_goldens() {
         r.as_ref().map(|r| (&r.owners, &r.ledgers[..])),
     );
     check_golden("routed_overlap", &out);
+}
+
+/// The scheme-driver paths that no other golden pins byte for byte:
+/// SFC and CFS (row/CRS, plus column/CCS for CFS) under overlap,
+/// chunking, a mid-stream death of rank 3 at 200 µs, and that death
+/// combined with overlap or chunking, plus chunked ED. Each case records
+/// the final owner map, every ledger, and the length and CRC32 of the
+/// run's Chrome-trace JSON.
+#[test]
+fn pipeline_path_ledgers_match_goldens() {
+    let rows = RowBlock::new(N, N, P);
+    let cols = ColBlock::new(N, N, P);
+    let plain = SchemeConfig::default();
+    let overlap = SchemeConfig {
+        overlap: true,
+        ..plain
+    };
+    let chunked = SchemeConfig {
+        chunk_elems: 16,
+        ..plain
+    };
+    let configs = [
+        ("overlap", false, overlap),
+        ("chunk=16", false, chunked),
+        ("die=3:200", true, plain),
+        ("die=3:200 overlap", true, overlap),
+        ("die=3:200 chunk=16", true, chunked),
+    ];
+    let mut cases: Vec<(
+        SchemeKind,
+        &dyn Partition,
+        CompressKind,
+        &str,
+        bool,
+        SchemeConfig,
+    )> = Vec::new();
+    for (scheme, part, kind) in [
+        (SchemeKind::Sfc, &rows as &dyn Partition, CompressKind::Crs),
+        (SchemeKind::Cfs, &rows, CompressKind::Crs),
+        (SchemeKind::Cfs, &cols, CompressKind::Ccs),
+    ] {
+        for &(label, die, config) in &configs {
+            cases.push((scheme, part, kind, label, die, config));
+        }
+    }
+    cases.push((
+        SchemeKind::Ed,
+        &rows,
+        CompressKind::Crs,
+        "chunk=16",
+        false,
+        chunked,
+    ));
+
+    let mut out = String::new();
+    for (scheme, part, kind, label, die, config) in cases {
+        let mut machine = Multicomputer::virtual_machine(P, MachineModel::ibm_sp2());
+        if die {
+            machine = machine.with_faults(FaultPlan::new(0x5EED).with_death_at(3, 200.0));
+        }
+        let sink = Arc::new(MemorySink::new());
+        let machine = machine.with_trace_sink(sink.clone());
+        let r = run_scheme_with(scheme, &machine, &array(), part, kind, config);
+        let title = format!("{scheme} {} {kind} {label}", part.name());
+        section(
+            &mut out,
+            &title,
+            r.as_ref().map(|r| (&r.owners, &r.ledgers[..])),
+        );
+        let json = chrome_trace_json(&sink.take());
+        writeln!(
+            out,
+            "trace: {} bytes, crc32 {:08x}",
+            json.len(),
+            crc32(json.as_bytes())
+        )
+        .unwrap();
+    }
+    check_golden("pipeline_paths", &out);
 }
