@@ -76,12 +76,7 @@ impl SchemeStages for Stages<'_> {
         decode_part_wire(payload, self.part, pid, self.kind, self.policy.format, ops)
     }
 
-    fn finish_part(&self, mid: &LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
-        // Never reached (finish_phase is None): decode already compressed.
-        mid.clone()
-    }
-
-    fn local_from(&self, mid: LocalCompressed) -> LocalCompressed {
+    fn finish(&self, mid: LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
         mid
     }
 }

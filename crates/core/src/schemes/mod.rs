@@ -86,22 +86,19 @@ impl SchemeConfig {
 /// Map part ids `0..nparts` through `f` in part order, additionally
 /// returning each part's own op count (`counts[pid]`).
 ///
-/// Each part counts its ops into a private [`OpCounter`]; the counts are
-/// summed into `ops`, which the caller charges exactly once, and the
-/// per-part counts feed the tracing layer's sub-span attribution.
+/// Each part counts its ops into a private [`OpCounter`]; the caller
+/// charges their sum exactly once, and the per-part counts feed the
+/// tracing layer's sub-span attribution.
 pub(crate) fn map_parts_counted<T>(
     nparts: usize,
-    ops: &mut OpCounter,
     mut f: impl FnMut(usize, &mut OpCounter) -> T,
 ) -> (Vec<T>, Vec<u64>) {
     let mut out = Vec::with_capacity(nparts);
     let mut counts = Vec::with_capacity(nparts);
     for pid in 0..nparts {
-        let mut local = OpCounter::new();
-        out.push(f(pid, &mut local));
-        let n = local.get();
-        counts.push(n);
-        ops.add(n);
+        let mut ops = OpCounter::new();
+        out.push(f(pid, &mut ops));
+        counts.push(ops.get());
     }
     (out, counts)
 }

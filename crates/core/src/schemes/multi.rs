@@ -164,10 +164,9 @@ fn multi_task<'e>(
                 env.phase(Phase::Send, |env| env.wait_all());
             } else {
                 let bufs: Vec<PackBuffer> = env.phase(Phase::Encode, |env| {
-                    let mut ops = OpCounter::new();
                     let (bufs, counts) = {
                         let arena = env.arena();
-                        map_parts_counted(p, &mut ops, |pid, ops| {
+                        map_parts_counted(p, |pid, ops| {
                             let (lrows, lcols) = part.local_shape(pid);
                             let mut buf =
                                 arena.checkout((lrows / nsources + 1) * (lcols / 2 + 1) * 8);
@@ -176,10 +175,10 @@ fn multi_task<'e>(
                         })
                     };
                     if env.is_tracing() {
-                        let pairs: Vec<(usize, u64)> = counts.into_iter().enumerate().collect();
+                        let pairs: Vec<(usize, u64)> = counts.iter().copied().enumerate().collect();
                         env.trace_part_ops(&pairs);
                     }
-                    env.charge_ops(ops.take());
+                    env.charge_ops(counts.iter().sum());
                     bufs
                 });
                 env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {

@@ -13,11 +13,19 @@
 //!                                  (hook)       (SFC's local compression)
 //! ```
 //!
-//! [`SchemeStages`] captures the per-scheme hooks; [`run_pipeline`] is the
-//! one driver that composes them with owner maps, wire-format negotiation,
-//! per-part op attribution ([`map_parts_counted`]) and the fault-aware
-//! retry layer underneath `send`/`recv`. The scheme modules (`sfc.rs`,
-//! `cfs.rs`, `ed.rs`) shrink to their hooks plus a phase-charging policy.
+//! [`SchemeStages`] captures the per-scheme hooks; [`run_pipeline`]
+//! composes them with owner maps, wire-format negotiation, per-part op
+//! attribution ([`map_parts_counted`]) and the fault-aware retry layer
+//! underneath `send`/`recv`. The scheme modules (`sfc.rs`, `cfs.rs`,
+//! `ed.rs`) shrink to their hooks plus a phase-charging policy.
+//!
+//! There are two drivers. The plain one sends bare part buffers to a
+//! fixed owner map. The routed one, taken when the fault plan schedules
+//! timed deaths, announces each part with a header and re-homes parts
+//! mid-stream; those headers change messages and ledgers, so it cannot
+//! stand in for the plain driver. Both run the same per-part steps:
+//! [`encode_charged`] (the overlapped source and every first delivery)
+//! and [`decode_charged`] (decode, recycle, finish).
 //!
 //! # Invariants
 //!
@@ -56,8 +64,8 @@ pub(crate) enum SourcePolicy {
 /// the global array / partition / wire format they need, so the hooks only
 /// see a part id.
 pub(crate) trait SchemeStages {
-    /// What the decode hook produces; [`SchemeStages::finish_part`] or
-    /// [`SchemeStages::local_from`] turns it into the final local array.
+    /// What the decode hook produces; [`SchemeStages::finish`] turns it
+    /// into the final local array.
     type Mid;
 
     /// Which scheme this is (labels traces and the returned [`SchemeRun`]).
@@ -88,20 +96,83 @@ pub(crate) trait SchemeStages {
         ops: &mut OpCounter,
     ) -> Result<Self::Mid, SparsedistError>;
 
-    /// The phase of the optional post-decode stage (SFC compresses its
-    /// dense parts under [`Phase::Compress`]); `None` for CFS/ED, whose
-    /// decode already yields the compressed local array.
+    /// The phase [`SchemeStages::finish`]'s ops are charged to: SFC
+    /// compresses its dense parts under [`Phase::Compress`]. `None` for
+    /// CFS/ED, whose decode already yields the compressed local array.
     fn finish_phase(&self) -> Option<Phase> {
         None
     }
 
-    /// The optional post-decode stage itself. Only invoked when
-    /// [`SchemeStages::finish_phase`] is `Some`.
-    fn finish_part(&self, mid: &Self::Mid, ops: &mut OpCounter) -> LocalCompressed;
+    /// Turn the decode result into the local array. Schemes without a
+    /// [`SchemeStages::finish_phase`] return `mid` and count nothing.
+    fn finish(&self, mid: Self::Mid, ops: &mut OpCounter) -> LocalCompressed;
+}
 
-    /// Convert the decode result into the local array directly (CFS/ED).
-    /// Only invoked when [`SchemeStages::finish_phase`] is `None`.
-    fn local_from(&self, mid: Self::Mid) -> LocalCompressed;
+/// Charge the ops counted for `parts` (part id, ops) to `phase` as one
+/// total, with one trace sub-span per part.
+fn charge_parts(env: &mut Env, phase: Phase, parts: &[(usize, u64)]) {
+    env.phase(phase, |env| {
+        env.trace_part_ops(parts);
+        env.charge_ops(parts.iter().map(|&(_, n)| n).sum());
+    });
+}
+
+/// Charge source-side encode work per the scheme's [`SourcePolicy`]:
+/// `ops` are the encode hook's counts, `packed` the buffers' element
+/// counts (one pack op each under [`SourcePolicy::CompressThenPack`]).
+fn charge_source(
+    env: &mut Env,
+    policy: SourcePolicy,
+    ops: &[(usize, u64)],
+    packed: &[(usize, u64)],
+) {
+    match policy {
+        SourcePolicy::Fused(phase) => charge_parts(env, phase, ops),
+        SourcePolicy::CompressThenPack => {
+            charge_parts(env, Phase::Compress, ops);
+            charge_parts(env, Phase::Pack, packed);
+        }
+    }
+}
+
+/// Encode part `pid` and charge it on its own: the per-part encode step
+/// of the overlapped source and of the routed driver's first delivery.
+fn encode_charged<S: SchemeStages>(
+    env: &mut Env,
+    stages: &S,
+    pid: usize,
+) -> Result<PackBuffer, SparsedistError> {
+    let mut ops = OpCounter::new();
+    let mut buf = env.arena().checkout(stages.buf_capacity(pid));
+    stages.encode_part(&mut buf, pid, &mut ops)?;
+    let packed = buf.elem_count();
+    charge_source(
+        env,
+        stages.source_policy(),
+        &[(pid, ops.take())],
+        &[(pid, packed)],
+    );
+    Ok(buf)
+}
+
+/// Decode part `pid`'s payload, recycle it, and run the finish hook, each
+/// charged to its phase: the per-part receive step of both drivers.
+fn decode_charged<S: SchemeStages>(
+    env: &mut Env,
+    stages: &S,
+    pid: usize,
+    payload: PackBuffer,
+) -> Result<LocalCompressed, SparsedistError> {
+    let mut ops = OpCounter::new();
+    let mid = stages.decode_part(&payload, pid, &mut ops);
+    charge_parts(env, stages.recv_phase(), &[(pid, ops.take())]);
+    let mid = mid?;
+    env.arena().recycle_bytes(payload.into_bytes());
+    let local = stages.finish(mid, &mut ops);
+    if let Some(phase) = stages.finish_phase() {
+        charge_parts(env, phase, &[(pid, ops.take())]);
+    }
+    Ok(local)
 }
 
 /// Send one logical part buffer: whole (the seed byte stream) or, with
@@ -191,58 +262,21 @@ fn source_staged<S: SchemeStages>(
     owners: &[usize],
     config: SchemeConfig,
 ) -> Result<(), SparsedistError> {
-    let nparts = owners.len();
-    let bufs: Vec<PackBuffer> = match stages.source_policy() {
-        SourcePolicy::Fused(phase) => env.phase(phase, |env| {
-            let mut ops = OpCounter::new();
-            let (bufs, counts) = {
-                let arena = env.arena();
-                map_parts_counted(nparts, &mut ops, |pid, ops| {
-                    let mut buf = arena.checkout(stages.buf_capacity(pid));
-                    stages.encode_part(&mut buf, pid, ops).map(|()| buf)
-                })
-            };
-            if env.is_tracing() {
-                let pairs: Vec<(usize, u64)> = counts.into_iter().enumerate().collect();
-                env.trace_part_ops(&pairs);
-            }
-            env.charge_ops(ops.take());
-            bufs.into_iter().collect::<Result<Vec<_>, _>>()
-        })?,
-        SourcePolicy::CompressThenPack => {
-            let (bufs, compress_total, compress_counts) = {
-                let arena = env.arena();
-                let mut compress_ops = OpCounter::new();
-                let (bufs, counts) = map_parts_counted(nparts, &mut compress_ops, |pid, ops| {
-                    let mut buf = arena.checkout(stages.buf_capacity(pid));
-                    stages.encode_part(&mut buf, pid, ops).map(|()| buf)
-                });
-                (bufs, compress_ops.take(), counts)
-            };
-            let bufs: Vec<PackBuffer> = bufs.into_iter().collect::<Result<Vec<_>, _>>()?;
-            let pack_total: u64 = bufs.iter().map(PackBuffer::elem_count).sum();
-            env.phase(Phase::Compress, |env| {
-                if env.is_tracing() {
-                    let pairs: Vec<(usize, u64)> =
-                        compress_counts.into_iter().enumerate().collect();
-                    env.trace_part_ops(&pairs);
-                }
-                env.charge_ops(compress_total)
-            });
-            env.phase(Phase::Pack, |env| {
-                if env.is_tracing() {
-                    let pairs: Vec<(usize, u64)> = bufs
-                        .iter()
-                        .map(PackBuffer::elem_count)
-                        .enumerate()
-                        .collect();
-                    env.trace_part_ops(&pairs);
-                }
-                env.charge_ops(pack_total)
-            });
-            bufs
-        }
+    let (bufs, counts) = {
+        let arena = env.arena();
+        map_parts_counted(owners.len(), |pid, ops| {
+            let mut buf = arena.checkout(stages.buf_capacity(pid));
+            stages.encode_part(&mut buf, pid, ops).map(|()| buf)
+        })
     };
+    let bufs = bufs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let ops: Vec<(usize, u64)> = counts.into_iter().enumerate().collect();
+    let packed: Vec<(usize, u64)> = bufs
+        .iter()
+        .map(PackBuffer::elem_count)
+        .enumerate()
+        .collect();
+    charge_source(env, stages.source_policy(), &ops, &packed);
     env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
         for (pid, buf) in bufs.into_iter().enumerate() {
             send_part(env, owners[pid], buf, config.chunk_elems, false)?;
@@ -265,33 +299,7 @@ fn source_overlapped<S: SchemeStages>(
     config: SchemeConfig,
 ) -> Result<(), SparsedistError> {
     for (pid, &owner) in owners.iter().enumerate() {
-        let buf = match stages.source_policy() {
-            SourcePolicy::Fused(phase) => env.phase(phase, |env| {
-                let mut ops = OpCounter::new();
-                let mut buf = env.arena().checkout(stages.buf_capacity(pid));
-                let r = stages.encode_part(&mut buf, pid, &mut ops).map(|()| buf);
-                let n = ops.take();
-                env.trace_part_ops(&[(pid, n)]);
-                env.charge_ops(n);
-                r
-            })?,
-            SourcePolicy::CompressThenPack => {
-                let mut ops = OpCounter::new();
-                let mut buf = env.arena().checkout(stages.buf_capacity(pid));
-                stages.encode_part(&mut buf, pid, &mut ops)?;
-                let n = ops.take();
-                env.phase(Phase::Compress, |env| {
-                    env.trace_part_ops(&[(pid, n)]);
-                    env.charge_ops(n);
-                });
-                let packed = buf.elem_count();
-                env.phase(Phase::Pack, |env| {
-                    env.trace_part_ops(&[(pid, packed)]);
-                    env.charge_ops(packed);
-                });
-                buf
-            }
-        };
+        let buf = encode_charged(env, stages, pid)?;
         env.phase(Phase::Send, |env| {
             send_part(env, owner, buf, config.chunk_elems, true)
         })?;
@@ -312,28 +320,7 @@ async fn receive_parts<S: SchemeStages>(
     let mut out = Vec::with_capacity(mine.len());
     for &pid in mine {
         let payload = recv_part(env, SOURCE, config.chunk_elems).await?;
-        let mid = env.phase(stages.recv_phase(), |env| {
-            let mut ops = OpCounter::new();
-            let mid = stages.decode_part(&payload, pid, &mut ops);
-            let n = ops.take();
-            env.trace_part_ops(&[(pid, n)]);
-            env.charge_ops(n);
-            mid
-        })?;
-        env.arena().recycle_bytes(payload.into_bytes());
-        if let Some(fphase) = stages.finish_phase() {
-            let local = env.phase(fphase, |env| {
-                let mut ops = OpCounter::new();
-                let local = stages.finish_part(&mid, &mut ops);
-                let n = ops.take();
-                env.trace_part_ops(&[(pid, n)]);
-                env.charge_ops(n);
-                local
-            });
-            out.push((pid, local));
-        } else {
-            out.push((pid, stages.local_from(mid)));
-        }
+        out.push((pid, decode_charged(env, stages, pid, payload)?));
     }
     Ok(out)
 }
@@ -536,7 +523,7 @@ impl<'a, S: SchemeStages> Router<'a, S> {
                 self.ship(env, dst, pid, buf, false)
             })
         } else {
-            let buf = self.encode_charged(env, pid)?;
+            let buf = encode_charged(env, self.stages, pid)?;
             let nb = self.config.overlap;
             env.phase(Phase::Send, |env| self.ship(env, dst, pid, buf, nb))
         };
@@ -549,41 +536,6 @@ impl<'a, S: SchemeStages> Router<'a, S> {
                 self.on_death(env, rank, Some(pid))
             }
             Err(e) => Err(e),
-        }
-    }
-
-    /// Per-part encode with the same phase charging as the overlapped
-    /// source path (per part, not fused).
-    fn encode_charged(&self, env: &mut Env, pid: usize) -> Result<PackBuffer, SparsedistError> {
-        match self.stages.source_policy() {
-            SourcePolicy::Fused(phase) => env.phase(phase, |env| {
-                let mut ops = OpCounter::new();
-                let mut buf = env.arena().checkout(self.stages.buf_capacity(pid));
-                let r = self
-                    .stages
-                    .encode_part(&mut buf, pid, &mut ops)
-                    .map(|()| buf);
-                let n = ops.take();
-                env.trace_part_ops(&[(pid, n)]);
-                env.charge_ops(n);
-                r
-            }),
-            SourcePolicy::CompressThenPack => {
-                let mut ops = OpCounter::new();
-                let mut buf = env.arena().checkout(self.stages.buf_capacity(pid));
-                self.stages.encode_part(&mut buf, pid, &mut ops)?;
-                let n = ops.take();
-                env.phase(Phase::Compress, |env| {
-                    env.trace_part_ops(&[(pid, n)]);
-                    env.charge_ops(n);
-                });
-                let packed = buf.elem_count();
-                env.phase(Phase::Pack, |env| {
-                    env.trace_part_ops(&[(pid, packed)]);
-                    env.charge_ops(packed);
-                });
-                Ok(buf)
-            }
         }
     }
 
@@ -704,28 +656,7 @@ async fn routed_receive<S: SchemeStages>(
             env.arena().recycle_bytes(payload.into_bytes());
             continue;
         }
-        let mid = env.phase(stages.recv_phase(), |env| {
-            let mut ops = OpCounter::new();
-            let mid = stages.decode_part(&payload, pid, &mut ops);
-            let n = ops.take();
-            env.trace_part_ops(&[(pid, n)]);
-            env.charge_ops(n);
-            mid
-        })?;
-        env.arena().recycle_bytes(payload.into_bytes());
-        let local = if let Some(fphase) = stages.finish_phase() {
-            env.phase(fphase, |env| {
-                let mut ops = OpCounter::new();
-                let local = stages.finish_part(&mid, &mut ops);
-                let n = ops.take();
-                env.trace_part_ops(&[(pid, n)]);
-                env.charge_ops(n);
-                local
-            })
-        } else {
-            stages.local_from(mid)
-        };
-        got.insert(pid, local);
+        got.insert(pid, decode_charged(env, stages, pid, payload)?);
     }
     Ok(got.into_iter().collect())
 }
@@ -1652,10 +1583,7 @@ mod tests {
                 &mut OpCounter::new(),
             )))
         }
-        fn finish_part(&self, mid: &LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
-            mid.clone()
-        }
-        fn local_from(&self, mid: LocalCompressed) -> LocalCompressed {
+        fn finish(&self, mid: LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
             mid
         }
     }

@@ -107,13 +107,8 @@ impl SchemeStages for Stages<'_> {
         Some(Phase::Compress)
     }
 
-    fn finish_part(&self, mid: &Dense2D, ops: &mut OpCounter) -> LocalCompressed {
-        compress_dense(self.kind, mid, ops)
-    }
-
-    fn local_from(&self, mid: Dense2D) -> LocalCompressed {
-        // Never reached (finish_phase is Some), but semantically correct.
-        compress_dense(self.kind, &mid, &mut OpCounter::new())
+    fn finish(&self, mid: Dense2D, ops: &mut OpCounter) -> LocalCompressed {
+        compress_dense(self.kind, &mid, ops)
     }
 }
 
