@@ -10,26 +10,15 @@
 //! form for the figure-reproduction tests.
 //!
 //! A [`Coo`] triplet format rounds out the set (used by the workload
-//! generators and MatrixMarket I/O in `sparsedist-gen`), and three more
-//! *Templates* formats — [`Dia`] (diagonal strips), [`Jds`] (jagged
-//! diagonals) and [`Bsr`] (block sparse row) — are provided as local
-//! conversion targets: the paper's schemes put CRS/CCS on the wire, and a
-//! receiving processor may then re-compress into whichever format its
-//! computation prefers (the `compression_formats` bench compares them).
+//! generators and MatrixMarket I/O in `sparsedist-gen`).
 
-mod bsr;
 mod ccs;
 mod coo;
 mod crs;
-mod dia;
-mod jds;
 
-pub use bsr::Bsr;
 pub use ccs::Ccs;
 pub use coo::Coo;
 pub use crs::Crs;
-pub use dia::Dia;
-pub use jds::Jds;
 
 use crate::dense::Dense2D;
 use crate::opcount::OpCounter;
@@ -180,17 +169,6 @@ pub enum CompressError {
         /// The offending row (CRS) or column (CCS).
         segment: usize,
     },
-    /// A BSR tile shape that is zero or does not divide the array shape.
-    TileShape {
-        /// Array rows.
-        rows: usize,
-        /// Array columns.
-        cols: usize,
-        /// Tile rows requested.
-        br: usize,
-        /// Tile columns requested.
-        bc: usize,
-    },
     /// A buffer expected to carry a versioned wire header starts with
     /// something else (wrong magic, unknown flags, or too short to hold
     /// one).
@@ -239,12 +217,6 @@ impl fmt::Display for CompressError {
                 write!(
                     f,
                     "indices in segment {segment} are not strictly increasing"
-                )
-            }
-            CompressError::TileShape { rows, cols, br, bc } => {
-                write!(
-                    f,
-                    "tile shape {br}x{bc} does not divide array shape {rows}x{cols}"
                 )
             }
             CompressError::WireHeader { found } => {
