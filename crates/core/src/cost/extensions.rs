@@ -1,6 +1,6 @@
-//! Closed-form cost models for the lifecycle extensions (gather,
-//! redistribution, multi-source ED), in the same `T_Startup`/`T_Data`/
-//! `T_Operation` vocabulary as the paper's Tables 1–2.
+//! Closed-form cost models for the lifecycle extensions (gather and
+//! redistribution), in the same `T_Startup`/`T_Data`/`T_Operation`
+//! vocabulary as the paper's Tables 1–2.
 //!
 //! Like [`super::predict`], these are validated against instrumented runs
 //! in this module's tests — near-exactly on divisible sizes, because the

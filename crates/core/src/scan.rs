@@ -154,16 +154,6 @@ impl PartScan {
         }
     }
 
-    /// Keep only the local rows whose global row passes `keep` (the
-    /// multi-source encoder's row stripes); the others are not scanned.
-    pub(crate) fn keep_rows(mut self, keep: impl Fn(usize) -> bool) -> PartScan {
-        let kept = (0..self.rows.len())
-            .map(|k| self.rows.get(k))
-            .filter(|&gr| keep(gr));
-        self.rows = AxisMap::from_indices(kept.collect());
-        self
-    }
-
     /// Number of cells the scan visits.
     pub(crate) fn cells(&self) -> usize {
         self.rows.len() * self.cols.len()
@@ -329,18 +319,5 @@ mod tests {
         assert!(PartScan::of(&RowCyclic::new(10, 8, 4), 1)
             .contiguous(&a)
             .is_none());
-    }
-
-    #[test]
-    fn keep_rows_filters_the_row_map() {
-        let a = paper_array_a();
-        let mut ops = OpCounter::new();
-        let scan = PartScan::of(&RowBlock::new(10, 8, 2), 1).keep_rows(|gr| gr % 2 == 0);
-        assert_eq!(scan.rows, AxisMap::Indices(vec![6, 8]));
-        let s = scan.compress(&a, CompressKind::Crs, &mut ops);
-        // Row 6 holds 8@6; row 8 holds 11@1, 12@2, 13@4.
-        assert_eq!(s.pointer, vec![0, 1, 4]);
-        assert_eq!(s.indices, vec![6, 1, 2, 4]);
-        assert_eq!(ops.get(), 16 + 3 * 4);
     }
 }

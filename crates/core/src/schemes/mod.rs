@@ -19,14 +19,12 @@
 
 mod cfs;
 mod ed;
-pub mod multi;
 mod pipeline;
 mod sfc;
 
 use crate::compress::{CompressKind, LocalCompressed};
 use crate::dense::Dense2D;
 use crate::error::SparsedistError;
-use crate::opcount::OpCounter;
 use crate::partition::Partition;
 use crate::scan::PartScan;
 use crate::wire::{CodecChoice, WireFormat};
@@ -81,26 +79,6 @@ impl SchemeConfig {
             ..SchemeConfig::default()
         }
     }
-}
-
-/// Map part ids `0..nparts` through `f` in part order, additionally
-/// returning each part's own op count (`counts[pid]`).
-///
-/// Each part counts its ops into a private [`OpCounter`]; the caller
-/// charges their sum exactly once, and the per-part counts feed the
-/// tracing layer's sub-span attribution.
-pub(crate) fn map_parts_counted<T>(
-    nparts: usize,
-    mut f: impl FnMut(usize, &mut OpCounter) -> T,
-) -> (Vec<T>, Vec<u64>) {
-    let mut out = Vec::with_capacity(nparts);
-    let mut counts = Vec::with_capacity(nparts);
-    for pid in 0..nparts {
-        let mut ops = OpCounter::new();
-        out.push(f(pid, &mut ops));
-        counts.push(ops.get());
-    }
-    (out, counts)
 }
 
 /// The source rank every provided driver distributes from.

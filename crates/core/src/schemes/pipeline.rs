@@ -43,8 +43,8 @@ use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
 use crate::schemes::{
-    alive_ranks_of, assign_owners, collect_parts, map_parts_counted, place_least_loaded,
-    OwnerIndex, SchemeConfig, SchemeKind, SchemeRun, SOURCE,
+    alive_ranks_of, assign_owners, collect_parts, place_least_loaded, OwnerIndex, SchemeConfig,
+    SchemeKind, SchemeRun, SOURCE,
 };
 use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase, RankTask};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -190,7 +190,7 @@ fn decode_charged<S: SchemeStages>(
 ///
 /// With `nonblocking`, every transmission is posted via [`Env::isend`];
 /// the caller owns the eventual [`Env::wait_all`].
-pub(crate) fn send_part(
+fn send_part(
     env: &mut Env,
     dst: usize,
     buf: PackBuffer,
@@ -233,7 +233,7 @@ pub(crate) fn send_part(
 /// count, so downstream recycling and accounting are chunking-agnostic.
 ///
 /// Async so the event loop can park the rank between frames.
-pub(crate) async fn recv_part(
+async fn recv_part(
     env: &mut Env,
     src: usize,
     chunk_elems: usize,
@@ -252,6 +252,26 @@ pub(crate) async fn recv_part(
         env.arena().recycle_bytes(chunk.into_bytes());
     }
     Ok(out)
+}
+
+/// Map part ids `0..nparts` through `f` in part order, additionally
+/// returning each part's own op count (`counts[pid]`).
+///
+/// Each part counts its ops into a private [`OpCounter`]; the caller
+/// charges their sum exactly once, and the per-part counts feed the
+/// tracing layer's sub-span attribution.
+fn map_parts_counted<T>(
+    nparts: usize,
+    mut f: impl FnMut(usize, &mut OpCounter) -> T,
+) -> (Vec<T>, Vec<u64>) {
+    let mut out = Vec::with_capacity(nparts);
+    let mut counts = Vec::with_capacity(nparts);
+    for pid in 0..nparts {
+        let mut ops = OpCounter::new();
+        out.push(f(pid, &mut ops));
+        counts.push(ops.get());
+    }
+    (out, counts)
 }
 
 /// Source side, staged (the seed flow): encode *all* parts, then send them

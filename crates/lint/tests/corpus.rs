@@ -152,7 +152,7 @@ fn e_rules_fire_at_exact_lines() {
 
 #[test]
 fn e_rules_scope_to_the_hygiene_crates() {
-    // gen/ekmr/ops are outside the error-hygiene floor; only the
+    // gen/ops are outside the error-hygiene floor; only the
     // workspace-wide E004 (todo!) still fires there.
     assert_eq!(
         check("crates/gen/src/fixture.rs", "bad_e_rules.rs"),

@@ -47,7 +47,7 @@ pub struct Span {
     /// The phase the work was attributed to.
     pub phase: Phase,
     /// The scheme (or driver) scope active when the span opened — `"SFC"`,
-    /// `"ED-multi"`, `"redistribute"`, … — `""` outside any driver.
+    /// `"ED"`, `"redistribute"`, … — `""` outside any driver.
     pub scope: &'static str,
     /// Detail label: `""` for a plain phase block, `"part3"` for a
     /// per-part child, `"->2"` / `"<-0"` for wire traffic, `"timeout->1"`

@@ -12,9 +12,7 @@
 //! * [`multicomputer`] — the simulated distributed-memory machine the
 //!   schemes run on (SPMD engine, pack buffers, α-β cost model);
 //! * [`gen`] — workload generators and MatrixMarket I/O;
-//! * [`ops`] — post-distribution sparse computation (SpMV & friends);
-//! * [`ekmr`] — multi-dimensional sparse arrays via the Extended Karnaugh
-//!   Map Representation (the paper's stated future work).
+//! * [`ops`] — post-distribution sparse computation (SpMV & friends).
 //!
 //! The [`array::DistributedSparseArray`] facade wraps the whole lifecycle
 //! (distribute → compute → repartition → gather → checkpoint) in one
@@ -23,7 +21,6 @@
 pub mod array;
 
 pub use sparsedist_core as core;
-pub use sparsedist_ekmr as ekmr;
 pub use sparsedist_gen as gen;
 pub use sparsedist_multicomputer as multicomputer;
 pub use sparsedist_ops as ops;

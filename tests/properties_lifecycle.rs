@@ -1,11 +1,9 @@
 //! Property-based tests over the lifecycle extensions: gather,
-//! redistribution, multi-source distribution, balanced partitions,
-//! checkpointing.
+//! redistribution, balanced partitions, checkpointing.
 
 use proptest::prelude::*;
 use sparsedist::core::gather::{gather_global, GatherStrategy};
 use sparsedist::core::redistribute::{redistribute, RedistStrategy};
-use sparsedist::core::schemes::multi::run_ed_multi_source;
 use sparsedist::gen::checkpoint;
 use sparsedist::prelude::*;
 
@@ -77,22 +75,6 @@ proptest! {
         let re = redistribute(&m, &owned, from.as_ref(), to.as_ref(), CompressKind::Crs, strategy).unwrap();
         let direct = run_scheme(SchemeKind::Ed, &m, &a, to.as_ref(), CompressKind::Crs).unwrap().locals;
         prop_assert_eq!(re.locals, direct);
-    }
-
-    #[test]
-    fn multi_source_is_source_count_invariant(
-        (a, part) in arb_dense().prop_flat_map(|a| {
-            let (r, c) = (a.rows(), a.cols());
-            (Just(a), arb_partition(r, c))
-        }),
-        k in 1usize..5,
-    ) {
-        let p = part.nparts();
-        prop_assume!(k <= p);
-        let m = machine(p);
-        let single = run_scheme(SchemeKind::Ed, &m, &a, part.as_ref(), CompressKind::Crs).unwrap();
-        let multi = run_ed_multi_source(&m, &a, part.as_ref(), k).unwrap();
-        prop_assert_eq!(multi.locals, single.locals);
     }
 
     #[test]

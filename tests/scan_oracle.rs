@@ -1,9 +1,9 @@
 //! Oracle for the dense part scans.
 //!
 //! Every library routine that scans a part of the global dense array —
-//! CFS's source-side `from_part_global`, ED's `encode_part_into`, the
-//! multi-source ED encoder, `extract_dense`, SFC's gather, the receivers'
-//! `from_dense` and `SchemeRun::reassemble` — is compared here against a
+//! CFS's source-side `from_part_global`, ED's `encode_part_into`,
+//! `extract_dense`, SFC's gather, the receivers' `from_dense` and
+//! `SchemeRun::reassemble` — is compared here against a
 //! per-cell reference that maps every local cell through
 //! `Partition::to_global` and charges one op per scanned cell plus three
 //! per nonzero. Outputs, wire bytes and per-part op counts must agree
@@ -15,7 +15,6 @@ use sparsedist::core::compress::CompressKind;
 use sparsedist::core::encode::encode_part_into;
 use sparsedist::core::opcount::OpCounter;
 use sparsedist::core::partition::BalancedRows;
-use sparsedist::core::schemes::multi::run_ed_multi_source_with;
 use sparsedist::core::wire::codec_for;
 use sparsedist::multicomputer::{MemorySink, PackBuffer, RankTrace};
 use sparsedist::prelude::*;
@@ -87,14 +86,12 @@ type Streams = (Vec<usize>, Vec<usize>, Vec<f64>);
 /// The per-cell reference scan over a `shape` whose local cells map to
 /// global cells through `to_global`: the streams walked in `kind`'s
 /// outer-major order (travelling indices are global), plus the ops — one
-/// per scanned cell, three per nonzero. Only outer rows whose global row
-/// passes `keep_row` are scanned (CRS only).
+/// per scanned cell, three per nonzero.
 fn ref_scan_cells(
     a: &Dense2D,
     (lrows, lcols): (usize, usize),
     to_global: &dyn Fn(usize, usize) -> (usize, usize),
     kind: CompressKind,
-    keep_row: &dyn Fn(usize) -> bool,
 ) -> (Streams, u64) {
     let (outer, inner) = match kind {
         CompressKind::Crs => (lrows, lcols),
@@ -102,9 +99,6 @@ fn ref_scan_cells(
     };
     let (mut pointer, mut indices, mut values, mut ops) = (vec![0], Vec::new(), Vec::new(), 0);
     for o in 0..outer {
-        if kind == CompressKind::Crs && !keep_row(to_global(o, 0).0) {
-            continue;
-        }
         for i in 0..inner {
             let (lr, lc) = match kind {
                 CompressKind::Crs => (o, i),
@@ -128,15 +122,9 @@ fn ref_scan_cells(
 }
 
 /// [`ref_scan_cells`] over part `pid` of `part`.
-fn ref_scan(
-    a: &Dense2D,
-    part: &dyn Partition,
-    pid: usize,
-    kind: CompressKind,
-    keep_row: &dyn Fn(usize) -> bool,
-) -> (Streams, u64) {
+fn ref_scan(a: &Dense2D, part: &dyn Partition, pid: usize, kind: CompressKind) -> (Streams, u64) {
     let to_global = |lr, lc| part.to_global(pid, lr, lc);
-    ref_scan_cells(a, part.local_shape(pid), &to_global, kind, keep_row)
+    ref_scan_cells(a, part.local_shape(pid), &to_global, kind)
 }
 
 /// Assemble streams into a compressed array whose travelling indices are
@@ -175,7 +163,7 @@ fn ref_extract(a: &Dense2D, part: &dyn Partition, pid: usize) -> Dense2D {
 fn ref_local(a: &Dense2D, part: &dyn Partition, pid: usize, kind: CompressKind) -> LocalCompressed {
     let local = ref_extract(a, part, pid);
     let shape = (local.rows(), local.cols());
-    let (streams, _) = ref_scan_cells(&local, shape, &|r, c| (r, c), kind, &|_| true);
+    let (streams, _) = ref_scan_cells(&local, shape, &|r, c| (r, c), kind);
     assemble(shape.0, shape.1, kind, streams)
 }
 
@@ -207,7 +195,7 @@ fn ref_encode(
     kind: CompressKind,
     format: WireFormat,
 ) -> PackBuffer {
-    let ((pointer, indices, values), _) = ref_scan(a, part, pid, kind, &|_| true);
+    let ((pointer, indices, values), _) = ref_scan(a, part, pid, kind);
     let (grows, gcols) = part.global_shape();
     let policy = WirePolicy::of(format);
     let codec = codec_for(format);
@@ -356,7 +344,7 @@ fn check_local_scans(a: &Dense2D, part: &dyn Partition) {
         );
 
         for kind in [CompressKind::Crs, CompressKind::Ccs] {
-            let (streams, want_ops) = ref_scan(a, part, pid, kind, &|_| true);
+            let (streams, want_ops) = ref_scan(a, part, pid, kind);
             let mut ops = OpCounter::new();
             let (got, want) = match kind {
                 CompressKind::Crs => (
@@ -413,7 +401,7 @@ fn check_schemes(a: &Dense2D, part: &dyn Partition) {
         let want_locals: Vec<LocalCompressed> =
             (0..p).map(|pid| ref_local(a, part, pid, kind)).collect();
         let scan_ops: Vec<(usize, u64)> = (0..p)
-            .map(|pid| (pid, ref_scan(a, part, pid, kind, &|_| true).1))
+            .map(|pid| (pid, ref_scan(a, part, pid, kind).1))
             .collect();
         for (scheme, phase) in [
             (SchemeKind::Sfc, Phase::Pack),
@@ -469,28 +457,6 @@ fn check_schemes(a: &Dense2D, part: &dyn Partition) {
             assert_eq!(&back, a, "{name} {scheme} {kind} round trip");
         }
     }
-
-    // Multi-source ED (CRS only): source `s` encodes the rows `r ≡ s mod k`.
-    for k in [1, 2.min(p), p] {
-        let (machine, sink) = traced_machine(p);
-        let run = run_ed_multi_source_with(&machine, a, part, k, SchemeConfig::default()).unwrap();
-        let traces = sink.take();
-        let crs_locals: Vec<LocalCompressed> = (0..p)
-            .map(|pid| ref_local(a, part, pid, CompressKind::Crs))
-            .collect();
-        assert_eq!(run.locals, crs_locals, "{name} multi-source k={k} locals");
-        for src in 0..k {
-            let want = nonzero((0..p).map(|pid| {
-                let keep = |gr: usize| gr % k == src;
-                (pid, ref_scan(a, part, pid, CompressKind::Crs, &keep).1)
-            }));
-            assert_eq!(
-                traced_part_ops(&traces, src, Phase::Encode),
-                want,
-                "{name} multi-source k={k} source {src} encode ops"
-            );
-        }
-    }
 }
 
 proptest! {
@@ -503,7 +469,7 @@ proptest! {
     ) {
         let a = seeded_dense(rows, cols, seed, density);
         for kind in [CompressKind::Crs, CompressKind::Ccs] {
-            let (streams, want_ops) = ref_scan_cells(&a, (rows, cols), &|r, c| (r, c), kind, &|_| true);
+            let (streams, want_ops) = ref_scan_cells(&a, (rows, cols), &|r, c| (r, c), kind);
             let mut ops = OpCounter::new();
             let got = match kind {
                 CompressKind::Crs => LocalCompressed::Crs(Crs::from_dense(&a, &mut ops)),
