@@ -1,7 +1,9 @@
 //! Exhaustive schedule checking of whole scheme runs (`sparsedist
 //! simcheck`'s engine, driven directly): every message-delivery
 //! interleaving of a small machine must produce bit-identical ledgers,
-//! locals and owners, and none may deadlock.
+//! locals and owners, and none may deadlock. The halo SpMV and the three
+//! gather strategies, run on a distributed ED state, are held to the same
+//! standard.
 //!
 //! The static C rules (crates/lint) prove the syntactic half of the
 //! communication-safety story; these tests prove the semantic half on
@@ -9,14 +11,17 @@
 //! with a mid-stream rank death, where parts re-home while frames are
 //! still in flight.
 
-use sparsedist_core::compress::CompressKind;
+use sparsedist_core::compress::{CompressKind, Crs};
 use sparsedist_core::dense::Dense2D;
-use sparsedist_core::partition::RowBlock;
-use sparsedist_core::schemes::{run_scheme_with, SchemeConfig, SchemeKind};
+use sparsedist_core::gather::{gather_global, GatherStrategy};
+use sparsedist_core::opcount::OpCounter;
+use sparsedist_core::partition::{ColBlock, Partition, RowBlock};
+use sparsedist_core::schemes::{run_scheme, run_scheme_with, SchemeConfig, SchemeKind, SchemeRun};
 use sparsedist_gen::SparseRandom;
 use sparsedist_multicomputer::{
     explore, EngineKind, Exploration, FaultPlan, MachineModel, Multicomputer, RetryPolicy,
 };
+use sparsedist_ops::spmv::{crs_spmv, distributed_spmv_ledgers};
 
 fn array(rows: usize) -> Dense2D {
     SparseRandom::new(rows, rows)
@@ -146,24 +151,75 @@ fn chaos_plans_p3_are_schedule_independent() {
     }
 }
 
+/// The ED state of an 8×8 array at density 0.3 over `part` on p=3: the
+/// state every post-distribution program below starts from.
+fn ed_state(part: &dyn Partition) -> (Dense2D, Multicomputer, SchemeRun) {
+    let a = SparseRandom::new(8, 8)
+        .sparse_ratio(0.3)
+        .seed(0xC0FFEE)
+        .generate();
+    let machine = Multicomputer::virtual_machine(3, MachineModel::ibm_sp2());
+    let run = run_scheme(SchemeKind::Ed, &machine, &a, part, CompressKind::Crs).unwrap();
+    (a, machine, run)
+}
+
 #[test]
-#[ignore]
-fn probe_tree_sizes() {
-    for (rows, chunk) in [(6usize, 4usize), (6, 6), (6, 0)] {
-        let a = array(rows);
-        let config = SchemeConfig {
-            overlap: true,
-            chunk_elems: chunk,
-            ..SchemeConfig::default()
-        };
-        let plan = FaultPlan::new(1).with_death_at(2, 200.0);
-        let _ = &plan;
-        for scheme in [SchemeKind::Sfc, SchemeKind::Cfs, SchemeKind::Ed] {
-            let pl = explore(|| digest_run(scheme, 3, &a, None, config), 120_000);
-            println!(
-                "rows={rows} chunk={chunk} {scheme:?}: pipeline {} (trunc={}, bp={})",
-                pl.schedules, pl.truncated, pl.max_branch_points
+fn halo_spmv_p3_is_schedule_independent() {
+    // Row blocks own whole rows; column blocks fold partial sums, which
+    // the fold adds in ascending source order whatever the delivery order.
+    let row = RowBlock::new(8, 8, 3);
+    let col = ColBlock::new(8, 8, 3);
+    let x: Vec<f64> = (0..8).map(|i| 1.0 + 0.25 * i as f64).collect();
+    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (label, part) in [("row", &row as &dyn Partition), ("column", &col)] {
+        let (a, machine, run) = ed_state(part);
+        let report = explore(
+            || match distributed_spmv_ledgers(&machine, &run, part, &x) {
+                Ok((y, ledgers)) => format!("ok y={:?} ledgers={ledgers:?}", bits(&y)),
+                Err(e) => format!("err {e}"),
+            },
+            25_000,
+        );
+        assert_schedule_independent(&format!("halo SpMV p=3 {label}"), &report);
+        assert!(report.baseline.starts_with("ok "), "{}", report.baseline);
+        if label == "row" {
+            let serial = crs_spmv(&Crs::from_dense(&a, &mut OpCounter::new()), &x);
+            let want = format!("ok y={:?} ", bits(&serial));
+            assert!(
+                report.baseline.starts_with(&want),
+                "row-block SpMV must equal the serial product bit for bit: {}",
+                report.baseline
             );
         }
+    }
+}
+
+#[test]
+fn gather_p3_is_schedule_independent() {
+    let part = RowBlock::new(8, 8, 3);
+    let (a, machine, run) = ed_state(&part);
+    for strategy in [
+        GatherStrategy::Dense,
+        GatherStrategy::Compressed,
+        GatherStrategy::Encoded,
+    ] {
+        let report = explore(
+            || match gather_global(&machine, &run.locals, &part, CompressKind::Crs, strategy) {
+                Ok(g) => format!(
+                    "ok exact={} global={:?} ledgers={:?}",
+                    g.global.to_dense() == a,
+                    g.global,
+                    g.ledgers
+                ),
+                Err(e) => format!("err {e}"),
+            },
+            25_000,
+        );
+        assert_schedule_independent(&format!("gather p=3 {strategy:?}"), &report);
+        assert!(
+            report.baseline.starts_with("ok exact=true"),
+            "{}",
+            report.baseline
+        );
     }
 }
