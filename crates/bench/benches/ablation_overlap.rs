@@ -55,7 +55,7 @@ fn bench_overlap(c: &mut Criterion) {
     );
 
     let x = vec![1.0; n];
-    let plan = SpmvPlan::new(&plain, &part);
+    let plan = SpmvPlan::new(&plain.locals, &part);
     let (_, ledgers) = plan.apply_ledgers(&machine, &x).unwrap();
     let send_max = ledgers
         .iter()

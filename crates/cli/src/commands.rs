@@ -232,16 +232,17 @@ pub fn generate(p: &Parsed) -> Result<String, CmdError> {
     let cols = p.usize_or("cols", rows).map_err(|e| e.to_string())?;
     let ratio = p.f64_or("ratio", 0.1).map_err(|e| e.to_string())?;
     let seed = p.usize_or("seed", 0).map_err(|e| e.to_string())? as u64;
-    let a = match p.flag_or("pattern", "uniform") {
+    let pattern = p.flag_or("pattern", "uniform");
+    if rows != cols && matches!(pattern, "banded" | "laplacian" | "clustered") {
+        return Err(format!("{pattern} pattern needs a square array"));
+    }
+    let a = match pattern {
         "uniform" => SparseRandom::new(rows, cols)
             .sparse_ratio(ratio)
             .seed(seed)
             .generate(),
         "banded" => {
             let bw = p.usize_or("bandwidth", 2).map_err(|e| e.to_string())?;
-            if rows != cols {
-                return Err("banded pattern needs a square array".into());
-            }
             patterns::banded(rows, bw)
         }
         "laplacian" => {
@@ -253,7 +254,7 @@ pub fn generate(p: &Parsed) -> Result<String, CmdError> {
             }
             patterns::five_point_laplacian(k)
         }
-        "clustered" => patterns::block_clustered(rows.max(cols), 8, rows / 16 + 1, seed),
+        "clustered" => patterns::block_clustered(rows, 8, rows / 16 + 1, seed),
         other => return Err(format!("unknown pattern '{other}'")),
     };
     matrixmarket::write_file(out, &Coo::from_dense(&a)).map_err(|e| e.to_string())?;
@@ -1281,6 +1282,26 @@ mod tests {
         )))
         .is_err());
         assert!(crate::run(&argv(&format!("gen {path} --rows 10 --pattern laplacian"))).is_err());
+    }
+
+    #[test]
+    fn gen_clustered_refuses_a_non_square_array() {
+        let path = tmp("gen_clustered_rect.mtx");
+        let err = crate::run(&argv(&format!(
+            "gen {path} --rows 100 --cols 50 --pattern clustered"
+        )))
+        .unwrap_err();
+        assert_eq!(err, "clustered pattern needs a square array");
+    }
+
+    #[test]
+    fn gen_laplacian_refuses_a_non_square_array() {
+        let path = tmp("gen_laplacian_rect.mtx");
+        let err = crate::run(&argv(&format!(
+            "gen {path} --rows 36 --cols 30 --pattern laplacian"
+        )))
+        .unwrap_err();
+        assert_eq!(err, "laplacian pattern needs a square array");
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The paper evaluates three partition methods — **row** `(Block, *)`,
 //! **column** `(*, Block)` and **2-D mesh** `(Block, Block)` in Fortran 90
 //! notation — and notes (§1) that the schemes work with any partition,
-//! block or cyclic. This module provides the three block methods the paper
-//! measures plus cyclic and block-cyclic extensions (the latter matches the
-//! Block Row Scatter distribution of the paper's related work), and the
-//! structure-aware [`BalancedRows`] partitions after Ziantz et al.'s
-//! bin-packing optimisation.
+//! block or cyclic. Every such method is one [`Grid`]: a row axis map times
+//! a column axis map, each axis block, cyclic or unsplit. Six named kinds
+//! cover the three block methods the paper measures plus cyclic and
+//! block-cyclic extensions (the latter matches the Block Row Scatter
+//! distribution of the paper's related work). The structure-aware
+//! [`BalancedRows`] partitions, after Ziantz et al.'s bin-packing
+//! optimisation, are the one irregular row map.
 //!
 //! Block sizes follow the paper exactly: a row partition of an `m × n`
 //! array over `p` processors gives each processor a `⌈m/p⌉ × n` local
@@ -15,12 +17,13 @@
 //! fewer rows, possibly none).
 
 mod balanced;
-mod block;
-mod cyclic;
+mod grid;
 
 pub use balanced::BalancedRows;
-pub use block::{ColBlock, Mesh2D, RowBlock};
-pub use cyclic::{BlockCyclic, ColCyclic, RowCyclic};
+pub use grid::{
+    BlockCyc, BlockCyclic, Col, ColBlock, ColCyc, ColCyclic, Grid, GridKind, Mesh, Mesh2D, Row,
+    RowBlock, RowCyc, RowCyclic,
+};
 
 use crate::dense::Dense2D;
 use crate::scan::PartScan;
@@ -38,9 +41,9 @@ use std::ops::Range;
 /// i.e. `to_global(p, lr, lc) == (to_global(p, lr, 0).0,
 /// to_global(p, 0, lc).1)`. The dense scans (compression, ED encoding,
 /// extraction, reassembly) rely on it: they look up each part's row and
-/// column maps once instead of calling `to_global` per cell. The property
-/// tests in this module's submodules check those laws for every
-/// implementation.
+/// column maps once instead of calling `to_global` per cell. [`Grid`] is
+/// separable by construction; the property tests in this module's
+/// submodules check the laws for every implementation.
 pub trait Partition: std::fmt::Debug {
     /// Human-readable method name (e.g. `"row"`).
     fn name(&self) -> &'static str;
@@ -109,9 +112,7 @@ pub trait Partition: std::fmt::Debug {
     /// global array (only the row block partition). The SFC scheme sends
     /// such parts "without packing into buffers" (§4.1.1), i.e. at zero
     /// per-element CPU cost.
-    fn row_contiguous(&self) -> bool {
-        false
-    }
+    fn row_contiguous(&self) -> bool;
 
     /// Copy `part`'s local array out of the global array.
     fn extract_dense(&self, global: &Dense2D, part: usize) -> Dense2D {
@@ -205,29 +206,6 @@ pub struct NnzProfile {
     pub s_max: f64,
 }
 
-/// Ceiling division, the paper's `⌈a/b⌉`.
-pub(crate) fn ceil_div(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
-}
-
-/// Shared helper for ceil-block splits along one dimension: the extent of
-/// block `i` when `len` is cut into `p` blocks of size `⌈len/p⌉`.
-pub(crate) fn block_extent(len: usize, p: usize, i: usize) -> usize {
-    let b = ceil_div(len, p);
-    (len.saturating_sub(i * b)).min(b)
-}
-
-/// Start offset of block `i` (see [`block_extent`]).
-pub(crate) fn block_start(len: usize, p: usize, i: usize) -> usize {
-    (ceil_div(len, p) * i).min(len)
-}
-
-/// The index range of block `i` (see [`block_extent`]).
-pub(crate) fn block_range(len: usize, p: usize, i: usize) -> AxisMap {
-    let start = block_start(len, p, i);
-    AxisMap::Range(start..start + block_extent(len, p, i))
-}
-
 #[cfg(test)]
 pub(crate) mod lawtests {
     //! Reusable law-checking helpers shared by the partition submodules'
@@ -300,29 +278,5 @@ pub(crate) mod lawtests {
             total += lr * lc;
         }
         assert_eq!(total, rows * cols, "parts must tile the global array");
-    }
-
-    #[test]
-    fn block_extent_covers_exactly() {
-        for len in 1..40 {
-            for p in 1..10 {
-                let total: usize = (0..p).map(|i| block_extent(len, p, i)).sum();
-                assert_eq!(total, len, "len={len} p={p}");
-                for i in 0..p {
-                    let s = block_start(len, p, i);
-                    let e = block_extent(len, p, i);
-                    if e > 0 {
-                        assert!(s + e <= len);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn paper_block_sizes() {
-        // 10 rows over 4 processors: ⌈10/4⌉ = 3 → sizes 3,3,3,1 (Figure 2).
-        let sizes: Vec<usize> = (0..4).map(|i| block_extent(10, 4, i)).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
     }
 }

@@ -68,7 +68,7 @@ pub fn jacobi(
     assert_eq!(diag.len(), grows, "diag length {} != {grows}", diag.len());
     assert!(diag.iter().all(|&d| d != 0.0), "zero diagonal entry");
 
-    let plan = SpmvPlan::new(run, part);
+    let plan = SpmvPlan::new(&run.locals, part);
     let mut x = vec![0.0; grows];
     for it in 0..max_iters {
         let ax = plan.apply(machine, &x)?;
@@ -120,7 +120,7 @@ pub fn conjugate_gradient(
     assert_eq!(grows, gcols, "cg needs a square system");
     assert_eq!(b.len(), grows, "b length {} != {grows}", b.len());
 
-    let plan = SpmvPlan::new(run, part);
+    let plan = SpmvPlan::new(&run.locals, part);
     let mut x = vec![0.0; grows];
     let mut r = b.to_vec();
     let mut p = r.clone();

@@ -74,7 +74,7 @@ pub fn dense_spmv(a: &Dense2D, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// The halo-exchange plan of one `(run, part)` pair: who sends which `x`
+/// The halo-exchange plan of one `(locals, part)` pair: who sends which `x`
 /// entries to whom, where each local nonzero reads and writes, and which
 /// partial rows fold into which owner's slice of `y`.
 ///
@@ -101,8 +101,8 @@ pub fn dense_spmv(a: &Dense2D, x: &[f64]) -> Vec<f64> {
 ///
 /// The plan is derived on the host once, in `O(nnz + n + p)` time and
 /// memory (stamp and counting arrays, no per-rank array of length `n`).
-/// It holds index lists only and borrows the values from the run's
-/// locals, so an iterative solver builds it once and reuses it on every
+/// It holds index lists only and borrows the values from the locals,
+/// so an iterative solver builds it once and reuses it on every
 /// product; index lists never travel per call.
 #[derive(Debug)]
 pub struct SpmvPlan<'a> {
@@ -336,14 +336,14 @@ fn values(local: &LocalCompressed) -> &[f64] {
 }
 
 impl<'a> SpmvPlan<'a> {
-    /// Plan the halo exchange for the locals `run` left under `part`.
+    /// Plan the halo exchange for `locals`, one per part of `part`.
     ///
     /// # Panics
-    /// Panics if the run's part count differs from the partition's.
-    pub fn new(run: &'a SchemeRun, part: &dyn Partition) -> SpmvPlan<'a> {
+    /// Panics if the number of locals differs from the partition's part
+    /// count.
+    pub fn new(locals: &'a [LocalCompressed], part: &dyn Partition) -> SpmvPlan<'a> {
         let p = part.nparts();
-        let locals = &run.locals;
-        assert_eq!(locals.len(), p, "run size != partition size");
+        assert_eq!(locals.len(), p, "locals != partition size");
         let (rows, cols) = part.global_shape();
         let mut owner = entry_owners(part);
         let xown = Owners::new(owner[..cols].to_vec(), p);
@@ -405,7 +405,7 @@ impl<'a> SpmvPlan<'a> {
     ///
     /// # Panics
     /// Panics if `x.len()` does not match the global column count or the
-    /// machine size differs from the run's.
+    /// machine size differs from the part count.
     pub fn apply(&self, machine: &Multicomputer, x: &[f64]) -> Result<Vec<f64>, SparsedistError> {
         Ok(self.apply_ledgers(machine, x)?.0)
     }
@@ -424,11 +424,7 @@ impl<'a> SpmvPlan<'a> {
     ) -> Result<(Vec<f64>, Vec<PhaseLedger>), SparsedistError> {
         let (rows, cols) = self.shape;
         assert_eq!(x.len(), cols, "x length {} != global cols {cols}", x.len());
-        assert_eq!(
-            machine.nprocs(),
-            self.ranks.len(),
-            "machine size != run size"
-        );
+        assert_eq!(machine.nprocs(), self.ranks.len(), "machine size != locals");
         let ctx = SpmvCtx { plan: self, x };
         let (results, ledgers) =
             machine.run_tasks_with_ledgers(&ctx, |ctx, env| halo_task(ctx, env));
@@ -616,7 +612,7 @@ pub fn distributed_spmv_ledgers(
     part: &dyn Partition,
     x: &[f64],
 ) -> Result<(Vec<f64>, Vec<PhaseLedger>), SparsedistError> {
-    SpmvPlan::new(run, part).apply_ledgers(machine, x)
+    SpmvPlan::new(&run.locals, part).apply_ledgers(machine, x)
 }
 
 #[cfg(test)]
@@ -705,7 +701,7 @@ mod tests {
         let machine = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
         let part = Mesh2D::new(10, 8, 2, 2);
         let run = run_scheme(SchemeKind::Ed, &machine, &a, &part, CompressKind::Ccs).unwrap();
-        let plan = SpmvPlan::new(&run, &part);
+        let plan = SpmvPlan::new(&run.locals, &part);
         for shift in 0..3 {
             let x: Vec<f64> = (0..8).map(|i| (i + shift) as f64).collect();
             let (y, ledgers) = plan.apply_ledgers(&machine, &x).unwrap();

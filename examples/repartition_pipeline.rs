@@ -13,7 +13,7 @@
 use sparsedist::core::gather::{gather_global, GatherStrategy};
 use sparsedist::core::redistribute::{redistribute, RedistStrategy};
 use sparsedist::gen::SparseRandom;
-use sparsedist::ops::spmv::{dense_spmv, distributed_spmv};
+use sparsedist::ops::spmv::{dense_spmv, distributed_spmv, SpmvPlan};
 use sparsedist::prelude::*;
 
 fn main() {
@@ -60,15 +60,9 @@ fn main() {
     );
 
     // 4. Compute under the mesh partition; the answer must not change.
-    let fake_run = SchemeRun {
-        scheme: SchemeKind::Ed,
-        compress_kind: CompressKind::Crs,
-        source: 0,
-        ledgers: redist.ledgers.clone(),
-        locals: redist.locals.clone(),
-        owners: (0..p).collect(),
-    };
-    let y2 = distributed_spmv(&machine, &fake_run, &mesh, &x).unwrap();
+    let y2 = SpmvPlan::new(&redist.locals, &mesh)
+        .apply(&machine, &x)
+        .unwrap();
     let drift = y1
         .iter()
         .zip(&y2)

@@ -29,13 +29,13 @@ use sparsedist_core::error::SparsedistError;
 use sparsedist_core::gather::{gather_global, GatherStrategy};
 use sparsedist_core::partition::Partition;
 use sparsedist_core::redistribute::{redistribute, RedistStrategy};
-use sparsedist_core::schemes::{run_scheme, SchemeKind, SchemeRun};
+use sparsedist_core::schemes::{run_scheme, SchemeKind};
 use sparsedist_gen::checkpoint;
 use sparsedist_multicomputer::{Multicomputer, PhaseLedger, VirtualTime};
 use sparsedist_ops::distributed::{
     distributed_add, distributed_frobenius, distributed_scale, distributed_transpose,
 };
-use sparsedist_ops::spmv::distributed_spmv;
+use sparsedist_ops::spmv::SpmvPlan;
 use std::path::Path;
 
 /// A sparse array distributed over a simulated multicomputer.
@@ -156,17 +156,6 @@ impl<'m> DistributedSparseArray<'m> {
             .fold(VirtualTime::ZERO, VirtualTime::max)
     }
 
-    fn as_run(&self) -> SchemeRun {
-        SchemeRun {
-            scheme: SchemeKind::Ed, // irrelevant for computation
-            compress_kind: self.kind,
-            source: 0,
-            ledgers: self.last_ledgers.clone(),
-            locals: self.locals.clone(),
-            owners: (0..self.locals.len()).collect(),
-        }
-    }
-
     /// Distributed `y = A·x`.
     ///
     /// # Errors
@@ -175,7 +164,7 @@ impl<'m> DistributedSparseArray<'m> {
     /// # Panics
     /// Panics if `x.len()` differs from the global column count.
     pub fn spmv(&self, x: &[f64]) -> Result<Vec<f64>, SparsedistError> {
-        distributed_spmv(self.machine, &self.as_run(), self.partition.as_ref(), x)
+        SpmvPlan::new(&self.locals, self.partition.as_ref()).apply(self.machine, x)
     }
 
     /// Scale in place: `A ← α·A`.

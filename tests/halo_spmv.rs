@@ -108,7 +108,7 @@ fn laplacian_on_sixteen_row_blocks_sends_one_grid_row_per_neighbour() {
     // row: 30 messages of 512 B.
     let (a, machine, part, run) = laplacian_rows();
     let x: Vec<f64> = (0..a.rows()).map(|i| (i % 7) as f64 - 3.0).collect();
-    let plan = SpmvPlan::new(&run, &part);
+    let plan = SpmvPlan::new(&run.locals, &part);
     for ledgers in [
         distributed_spmv_ledgers(&machine, &run, &part, &x)
             .unwrap()
@@ -209,7 +209,7 @@ fn repeated_products_on_a_one_way_pattern_pool_no_buffers() {
             CompressKind::Crs,
         )
         .unwrap();
-        let plan = SpmvPlan::new(&run, part.as_ref());
+        let plan = SpmvPlan::new(&run.locals, part.as_ref());
         let pooled = |m: &Multicomputer| (0..8).map(|r| m.arena(r).pooled()).collect::<Vec<_>>();
         let before = pooled(&machine);
         for _ in 0..50 {

@@ -5,7 +5,7 @@ use sparsedist::core::gather::{gather_global, GatherStrategy};
 use sparsedist::core::redistribute::{redistribute, RedistStrategy};
 use sparsedist::gen::SparseRandom;
 use sparsedist::multicomputer::Topology;
-use sparsedist::ops::spmv::{dense_spmv, distributed_spmv};
+use sparsedist::ops::spmv::{dense_spmv, distributed_spmv, SpmvPlan};
 use sparsedist::prelude::*;
 
 #[test]
@@ -70,15 +70,9 @@ fn computation_is_invariant_under_repartitioning() {
             RedistStrategy::Direct,
         )
         .unwrap();
-        let run = SchemeRun {
-            scheme: SchemeKind::Cfs,
-            compress_kind: CompressKind::Crs,
-            source: 0,
-            ledgers: re.ledgers.clone(),
-            locals: re.locals.clone(),
-            owners: (0..p).collect(),
-        };
-        let y = distributed_spmv(&machine, &run, to.as_ref(), &x).unwrap();
+        let y = SpmvPlan::new(&re.locals, to.as_ref())
+            .apply(&machine, &x)
+            .unwrap();
         for ((u, v), w) in y.iter().zip(&y0).zip(&want) {
             assert!(
                 (u - v).abs() < 1e-10 && (u - w).abs() < 1e-10,
