@@ -50,7 +50,7 @@ impl Ccs {
         Ccs::from_streams(grows, lcols, s)
     }
 
-    fn from_streams(rows: usize, cols: usize, s: Streams) -> Ccs {
+    pub(super) fn from_streams(rows: usize, cols: usize, s: Streams) -> Ccs {
         Ccs {
             rows,
             cols,

@@ -51,7 +51,7 @@ impl Crs {
         Crs::from_streams(lrows, gcols, s)
     }
 
-    fn from_streams(rows: usize, cols: usize, s: Streams) -> Crs {
+    pub(super) fn from_streams(rows: usize, cols: usize, s: Streams) -> Crs {
         Crs {
             rows,
             cols,

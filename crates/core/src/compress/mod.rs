@@ -22,6 +22,7 @@ pub use crs::Crs;
 
 use crate::dense::Dense2D;
 use crate::opcount::OpCounter;
+use crate::scan::{Cells, PartScan};
 use std::fmt;
 
 /// Which compressed format a scheme run uses.
@@ -123,9 +124,26 @@ impl LocalCompressed {
 /// operations into `ops` (what an SFC receiver does after its dense local
 /// array arrives).
 pub fn compress_dense(kind: CompressKind, a: &Dense2D, ops: &mut OpCounter) -> LocalCompressed {
+    compress_cells(kind, a.rows(), a.cols(), a.as_slice(), ops)
+}
+
+/// [`compress_dense`] of the `rows × cols` array whose row-major cells are
+/// `cells`: an SFC receiver compresses its dense local array straight
+/// from the received payload.
+///
+/// # Panics
+/// Panics if `cells` does not hold `rows · cols` cells.
+pub(crate) fn compress_cells(
+    kind: CompressKind,
+    rows: usize,
+    cols: usize,
+    cells: impl Cells,
+    ops: &mut OpCounter,
+) -> LocalCompressed {
+    let s = PartScan::whole(rows, cols).compress_cells(cells, kind, ops);
     match kind {
-        CompressKind::Crs => LocalCompressed::Crs(Crs::from_dense(a, ops)),
-        CompressKind::Ccs => LocalCompressed::Ccs(Ccs::from_dense(a, ops)),
+        CompressKind::Crs => LocalCompressed::Crs(Crs::from_streams(rows, cols, s)),
+        CompressKind::Ccs => LocalCompressed::Ccs(Ccs::from_streams(rows, cols, s)),
     }
 }
 

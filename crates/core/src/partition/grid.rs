@@ -327,14 +327,7 @@ impl<K: GridKind> Partition for Grid<K> {
     }
 
     fn col_map(&self, part: usize) -> AxisMap {
-        let (i, j) = self.coords(part);
-        // A part without rows has no cell to scan. Its cyclic columns map
-        // to `0..lcols`, the trait default's answer, which
-        // `tests/goldens/partitions.txt` pins.
-        if self.cols.cyclic && self.rows.extent(i) == 0 {
-            return AxisMap::Range(0..self.cols.extent(j));
-        }
-        self.cols.map(j)
+        self.cols.map(self.coords(part).1)
     }
 
     fn row_to_local(&self, _part: usize, gr: usize) -> usize {
@@ -413,6 +406,7 @@ mod tests {
             (6, 6, 1, 1, 2, 2), // pure cyclic-cyclic
             (8, 8, 8, 8, 2, 2), // blocks bigger than one cycle row
             (5, 5, 2, 2, 1, 1), // single processor
+            (3, 7, 2, 2, 3, 2), // the last grid row owns no rows
         ] {
             check_laws(&BlockCyclic::new(rows, cols, br, bc, pr, pc));
         }

@@ -91,7 +91,9 @@ pub trait Partition: std::fmt::Debug {
     ///
     /// The default asks [`Partition::to_global`] once per local column. A
     /// part without rows has no cell to ask about, so the default maps its
-    /// columns to `0..lcols`; no scan reads them.
+    /// columns to `0..lcols`: right for a row partition, whose parts span
+    /// every column. A partition whose row-less parts own other columns
+    /// overrides it.
     fn col_map(&self, part: usize) -> AxisMap {
         let (lrows, lcols) = self.local_shape(part);
         if lrows == 0 {
@@ -225,6 +227,22 @@ pub(crate) mod lawtests {
                 p.local_shape(part),
                 "part {part} map lengths"
             );
+            // Each map inverts its axis's conversion, also on a part with
+            // no cells, which the sweep below never visits.
+            for k in 0..rmap.len() {
+                assert_eq!(
+                    p.row_to_local(part, rmap.get(k)),
+                    k,
+                    "part {part} row_map[{k}]"
+                );
+            }
+            for k in 0..cmap.len() {
+                assert_eq!(
+                    p.col_to_local(part, cmap.get(k)),
+                    k,
+                    "part {part} col_map[{k}]"
+                );
+            }
         }
         // Every global cell maps to exactly one (part, lr, lc) and back.
         let mut seen = vec![0usize; p.nparts()];

@@ -12,7 +12,10 @@
 //! global array, the walk reads that row as one slice; otherwise it reads
 //! through the map. Compression takes the cells 64 at a time, skips an
 //! all-zero chunk and visits the others' nonzeros through a bit mask, so no
-//! cell costs a branch.
+//! cell costs a branch. A scan reads its cells from one of two [`Cells`]
+//! sources: `f64`s in memory, or the little-endian bytes of a v1 SFC
+//! payload ([`LeBytes`]), which a receiver compresses without copying them
+//! out first.
 //!
 //! Op accounting is arithmetic. The paper charges compression and ED
 //! encoding as one op per scanned cell plus three per nonzero emitted
@@ -24,6 +27,7 @@ use crate::compress::{CompressKind, LocalCompressed};
 use crate::dense::Dense2D;
 use crate::opcount::OpCounter;
 use crate::partition::{AxisMap, Partition};
+use std::ops::Range;
 
 /// The compressed streams of one scanned part, in the scan's outer-major
 /// order: the pointer array (one entry per outer segment, plus the leading
@@ -38,18 +42,107 @@ pub(crate) struct Streams {
 /// Cells per chunk of a segment walk: one bit each in the nonzero mask.
 const CHUNK: usize = 64;
 
-/// What a segment walk does with each chunk of at most [`CHUNK`] cells.
-trait ChunkSink {
+/// Row-major cells a scan reads, by index.
+pub(crate) trait Cells: Copy {
+    /// Number of cells.
+    fn len(self) -> usize;
+
+    /// Cell `i`.
+    fn at(self, i: usize) -> f64;
+
+    /// Cells `range`, as a source of their own.
+    fn slice(self, range: Range<usize>) -> Self;
+
+    /// The cells [`CHUNK`] at a time, the last chunk possibly shorter.
+    fn chunks(self) -> impl Iterator<Item = Self>;
+
+    /// Whether any cell is nonzero, by the exact `v != 0.0` test; one
+    /// branch for the whole source, not one per cell.
+    fn any_nonzero(self) -> bool;
+}
+
+impl Cells for &[f64] {
+    #[inline]
+    fn len(self) -> usize {
+        <[f64]>::len(self)
+    }
+
+    #[inline]
+    fn at(self, i: usize) -> f64 {
+        self[i]
+    }
+
+    #[inline]
+    fn slice(self, range: Range<usize>) -> Self {
+        &self[range]
+    }
+
+    #[inline]
+    fn chunks(self) -> impl Iterator<Item = Self> {
+        <[f64]>::chunks(self, CHUNK)
+    }
+
+    #[inline]
+    fn any_nonzero(self) -> bool {
+        self.iter().fold(false, |any, &v| any | (v != 0.0))
+    }
+}
+
+/// Cells as consecutive little-endian `f64` bytes: a v1 value stream as
+/// it arrives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeBytes<'a>(pub(crate) &'a [u8]);
+
+/// The `f64` whose little-endian bytes are `b`, which holds exactly eight.
+#[inline]
+fn le_f64(b: &[u8]) -> f64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(b);
+    f64::from_le_bytes(w)
+}
+
+impl Cells for LeBytes<'_> {
+    #[inline]
+    fn len(self) -> usize {
+        self.0.len() / 8
+    }
+
+    #[inline]
+    fn at(self, i: usize) -> f64 {
+        le_f64(&self.0[8 * i..8 * i + 8])
+    }
+
+    #[inline]
+    fn slice(self, range: Range<usize>) -> Self {
+        LeBytes(&self.0[8 * range.start..8 * range.end])
+    }
+
+    #[inline]
+    fn chunks(self) -> impl Iterator<Item = Self> {
+        self.0.chunks(8 * CHUNK).map(LeBytes)
+    }
+
+    #[inline]
+    fn any_nonzero(self) -> bool {
+        self.0
+            .chunks_exact(8)
+            .fold(false, |any, b| any | (le_f64(b) != 0.0))
+    }
+}
+
+/// What a segment walk does with each chunk of at most [`CHUNK`] cells
+/// read from a `C` source.
+trait ChunkSink<C> {
     /// Take the `len` cells whose values are `cell(0..len)` and whose
     /// global inner indices are `global(0..len)`.
     fn chunk(&mut self, len: usize, cell: impl Fn(usize) -> f64, global: impl Fn(usize) -> usize);
 
     /// Take consecutive `cells` at global inner indices `start..`.
-    fn run(&mut self, start: usize, cells: &[f64]);
+    fn run(&mut self, start: usize, cells: C);
 }
 
 /// Compaction: keep the nonzeros, in order, with their global indices.
-impl ChunkSink for Streams {
+impl<C: Cells> ChunkSink<C> for Streams {
     #[inline]
     fn chunk(&mut self, len: usize, cell: impl Fn(usize) -> f64, global: impl Fn(usize) -> usize) {
         // Branch-free per cell: bit j is set when cell j is nonzero, and an
@@ -67,18 +160,18 @@ impl ChunkSink for Streams {
     }
 
     #[inline]
-    fn run(&mut self, start: usize, cells: &[f64]) {
-        for (k, chunk) in (start..).step_by(CHUNK).zip(cells.chunks(CHUNK)) {
+    fn run(&mut self, start: usize, cells: C) {
+        for (k, chunk) in (start..).step_by(CHUNK).zip(cells.chunks()) {
             // A vectorised OR over the chunk skips it before the mask is built.
-            if chunk.iter().fold(false, |any, &v| any | (v != 0.0)) {
-                self.chunk(chunk.len(), |j| chunk[j], |j| k + j);
+            if chunk.any_nonzero() {
+                ChunkSink::<C>::chunk(self, chunk.len(), |j| chunk.at(j), |j| k + j);
             }
         }
     }
 }
 
 /// Gathering: keep every cell.
-impl ChunkSink for Vec<f64> {
+impl ChunkSink<&[f64]> for Vec<f64> {
     #[inline]
     fn chunk(&mut self, len: usize, cell: impl Fn(usize) -> f64, _: impl Fn(usize) -> usize) {
         self.extend((0..len).map(cell));
@@ -91,35 +184,35 @@ impl ChunkSink for Vec<f64> {
 }
 
 /// The cells of one outer segment: a local row (CRS order) or column (CCS
-/// order) of the part, laid over the global array's row-major data.
-struct Segment<'a> {
-    data: &'a [f64],
+/// order) of the part, laid over the global array's row-major cells.
+struct Segment<'a, C> {
+    data: C,
     base: usize,
     stride: usize,
     inner: &'a AxisMap,
 }
 
-impl Segment<'_> {
+impl<C: Cells> Segment<'_, C> {
     /// Hand the segment's cells to `sink` in local order, dispatching on
-    /// the map once: a contiguous segment whole, as one slice of the global
-    /// array; a strided or mapped one [`CHUNK`] cells at a time, read in
+    /// the map once: a contiguous segment whole, as one run of the global
+    /// cells; a strided or mapped one [`CHUNK`] cells at a time, read in
     /// place through the map (a copy into a buffer costs a store per cell).
     #[inline]
-    fn walk(&self, sink: &mut impl ChunkSink) {
+    fn walk(&self, sink: &mut impl ChunkSink<C>) {
         let (data, base, stride) = (self.data, self.base, self.stride);
         match self.inner {
             AxisMap::Range(r) if stride == 1 => {
-                sink.run(r.start, &data[base + r.start..base + r.end])
+                sink.run(r.start, data.slice(base + r.start..base + r.end))
             }
             AxisMap::Range(r) => {
                 for k in r.clone().step_by(CHUNK) {
                     let len = CHUNK.min(r.end - k);
-                    sink.chunk(len, |j| data[base + (k + j) * stride], |j| k + j);
+                    sink.chunk(len, |j| data.at(base + (k + j) * stride), |j| k + j);
                 }
             }
             AxisMap::Indices(map) => {
                 for chunk in map.chunks(CHUNK) {
-                    let cell = |j: usize| data[base + chunk[j] * stride];
+                    let cell = |j: usize| data.at(base + chunk[j] * stride);
                     sink.chunk(chunk.len(), cell, |j| chunk[j]);
                 }
             }
@@ -159,26 +252,35 @@ impl PartScan {
         self.rows.len() * self.cols.len()
     }
 
-    /// The outer segments of a walk in `kind`'s order.
-    fn segments<'a>(
-        &'a self,
-        global: &'a Dense2D,
-        kind: CompressKind,
-    ) -> impl Iterator<Item = Segment<'a>> + 'a {
+    /// Assert that the maps were built for a `rows × cols` array.
+    fn check_shape(&self, rows: usize, cols: usize) {
         assert_eq!(
-            (global.rows(), global.cols()),
+            (rows, cols),
             self.global_shape,
-            "scan maps built for {:?} but array is {}x{}",
+            "scan maps built for {:?} but array is {rows}x{cols}",
             self.global_shape,
-            global.rows(),
-            global.cols()
         );
-        let gcols = global.cols();
+    }
+
+    /// The outer segments of a walk in `kind`'s order over the global
+    /// array's row-major `data`.
+    fn segments<'a, C: Cells + 'a>(
+        &'a self,
+        data: C,
+        kind: CompressKind,
+    ) -> impl Iterator<Item = Segment<'a, C>> + 'a {
+        let gcols = self.global_shape.1;
+        assert_eq!(
+            data.len(),
+            self.global_shape.0 * gcols,
+            "scan maps built for {:?} but the array has {} cells",
+            self.global_shape,
+            data.len()
+        );
         let (outer, inner, outer_stride, stride) = match kind {
             CompressKind::Crs => (&self.rows, &self.cols, gcols, 1),
             CompressKind::Ccs => (&self.cols, &self.rows, 1, gcols),
         };
-        let data = global.as_slice();
         (0..outer.len()).map(move |k| Segment {
             data,
             base: outer.get(k) * outer_stride,
@@ -195,6 +297,17 @@ impl PartScan {
         kind: CompressKind,
         ops: &mut OpCounter,
     ) -> Streams {
+        self.check_shape(global.rows(), global.cols());
+        self.compress_cells(global.as_slice(), kind, ops)
+    }
+
+    /// [`PartScan::compress`] over the global array's row-major `cells`.
+    pub(crate) fn compress_cells(
+        &self,
+        cells: impl Cells,
+        kind: CompressKind,
+        ops: &mut OpCounter,
+    ) -> Streams {
         let outer = match kind {
             CompressKind::Crs => self.rows.len(),
             CompressKind::Ccs => self.cols.len(),
@@ -204,7 +317,7 @@ impl PartScan {
             ..Streams::default()
         };
         out.pointer.push(0);
-        for seg in self.segments(global, kind) {
+        for seg in self.segments(cells, kind) {
             seg.walk(&mut out);
             out.pointer.push(out.indices.len());
         }
@@ -215,8 +328,9 @@ impl PartScan {
     /// The scanned cells' values in local row-major order — the part's
     /// dense local array.
     pub(crate) fn gather(&self, global: &Dense2D) -> Vec<f64> {
+        self.check_shape(global.rows(), global.cols());
         let mut out = Vec::with_capacity(self.cells());
-        for seg in self.segments(global, CompressKind::Crs) {
+        for seg in self.segments(global.as_slice(), CompressKind::Crs) {
             seg.walk(&mut out);
         }
         out
@@ -238,14 +352,7 @@ impl PartScan {
     /// indices) to their global cells in `out`: a CRS row through one row
     /// slice of `out`, a CCS column by stepping down `out`'s rows.
     pub(crate) fn scatter(&self, local: &LocalCompressed, out: &mut Dense2D) {
-        assert_eq!(
-            (out.rows(), out.cols()),
-            self.global_shape,
-            "scan maps built for {:?} but array is {}x{}",
-            self.global_shape,
-            out.rows(),
-            out.cols()
-        );
+        self.check_shape(out.rows(), out.cols());
         // The local's indices are below its shape, so below the maps' lengths.
         assert_eq!(
             local.shape(),

@@ -34,8 +34,6 @@ pub(crate) struct Stages<'a> {
 }
 
 impl SchemeStages for Stages<'_> {
-    type Mid = LocalCompressed;
-
     fn scheme(&self) -> SchemeKind {
         SchemeKind::Cfs
     }
@@ -87,6 +85,7 @@ impl SchemeStages for Stages<'_> {
         payload: &PackBuffer,
         pid: usize,
         ops: &mut OpCounter,
+        _finish_ops: &mut OpCounter,
     ) -> Result<LocalCompressed, SparsedistError> {
         let (lrows, lcols) = self.part.local_shape(pid);
         let nsegments = match self.kind {
@@ -124,10 +123,6 @@ impl SchemeStages for Stages<'_> {
                 LocalCompressed::Ccs(Ccs::from_raw(bound, lcols, pointer, indices, values)?)
             }
         })
-    }
-
-    fn finish(&self, mid: LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
-        mid
     }
 }
 

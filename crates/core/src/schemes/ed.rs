@@ -30,8 +30,6 @@ pub(crate) struct Stages<'a> {
 }
 
 impl SchemeStages for Stages<'_> {
-    type Mid = LocalCompressed;
-
     fn scheme(&self) -> SchemeKind {
         SchemeKind::Ed
     }
@@ -72,12 +70,9 @@ impl SchemeStages for Stages<'_> {
         payload: &PackBuffer,
         pid: usize,
         ops: &mut OpCounter,
+        _finish_ops: &mut OpCounter,
     ) -> Result<LocalCompressed, SparsedistError> {
         decode_part_wire(payload, self.part, pid, self.kind, self.policy.format, ops)
-    }
-
-    fn finish(&self, mid: LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
-        mid
     }
 }
 

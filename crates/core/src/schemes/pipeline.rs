@@ -9,8 +9,9 @@
 //!                                        under SchemeConfig::overlap;
 //!                                        whole buffers, or bounded framed
 //!                                        chunks under chunk_elems)
-//!   receiver:  recv part(s)  ──►  decode  ──►  [finish]
-//!                                  (hook)       (SFC's local compression)
+//!   receiver:  recv part(s)  ──►  decode to the local array (hook;
+//!                                  SFC compresses here, its ops charged
+//!                                  to the finish phase) ──► drop payload
 //! ```
 //!
 //! [`SchemeStages`] captures the per-scheme hooks; [`run_pipeline`]
@@ -25,7 +26,7 @@
 //! mid-stream; those headers change messages and ledgers, so it cannot
 //! stand in for the plain driver. Both run the same per-part steps:
 //! [`encode_charged`] (the overlapped source and every first delivery)
-//! and [`decode_charged`] (decode, recycle, finish).
+//! and [`decode_charged`] (decode, charge, drop the payload).
 //!
 //! # Invariants
 //!
@@ -64,10 +65,6 @@ pub(crate) enum SourcePolicy {
 /// the global array / partition / wire format they need, so the hooks only
 /// see a part id.
 pub(crate) trait SchemeStages {
-    /// What the decode hook produces; [`SchemeStages::finish`] turns it
-    /// into the final local array.
-    type Mid;
-
     /// Which scheme this is (labels traces and the returned [`SchemeRun`]).
     fn scheme(&self) -> SchemeKind;
 
@@ -88,24 +85,23 @@ pub(crate) trait SchemeStages {
         ops: &mut OpCounter,
     ) -> Result<(), SparsedistError>;
 
-    /// Decode a received payload, counting receiver-side ops.
+    /// Decode a received payload into the local array, counting
+    /// receiver-side ops: `ops` for [`SchemeStages::recv_phase`],
+    /// `finish_ops` for [`SchemeStages::finish_phase`].
     fn decode_part(
         &self,
         payload: &PackBuffer,
         pid: usize,
         ops: &mut OpCounter,
-    ) -> Result<Self::Mid, SparsedistError>;
+        finish_ops: &mut OpCounter,
+    ) -> Result<LocalCompressed, SparsedistError>;
 
-    /// The phase [`SchemeStages::finish`]'s ops are charged to: SFC
-    /// compresses its dense parts under [`Phase::Compress`]. `None` for
-    /// CFS/ED, whose decode already yields the compressed local array.
+    /// The phase `finish_ops` are charged to: SFC compresses its dense
+    /// parts under [`Phase::Compress`]. `None` for CFS/ED, whose decode
+    /// counts nothing there.
     fn finish_phase(&self) -> Option<Phase> {
         None
     }
-
-    /// Turn the decode result into the local array. Schemes without a
-    /// [`SchemeStages::finish_phase`] return `mid` and count nothing.
-    fn finish(&self, mid: Self::Mid, ops: &mut OpCounter) -> LocalCompressed;
 }
 
 /// Charge the ops counted for `parts` (part id, ops) to `phase` as one
@@ -155,22 +151,25 @@ fn encode_charged<S: SchemeStages>(
     Ok(buf)
 }
 
-/// Decode part `pid`'s payload, recycle it, and run the finish hook, each
-/// charged to its phase: the per-part receive step of both drivers.
+/// Decode part `pid`'s payload and charge the decode and finish ops, each
+/// to its phase: the per-part receive step of both drivers.
+///
+/// The payload is dropped, not recycled: no receiving rank checks a
+/// buffer out again during a run, so a pooled payload would only sit in
+/// the rank's arena until the machine is dropped.
 fn decode_charged<S: SchemeStages>(
     env: &mut Env,
     stages: &S,
     pid: usize,
     payload: PackBuffer,
 ) -> Result<LocalCompressed, SparsedistError> {
-    let mut ops = OpCounter::new();
-    let mid = stages.decode_part(&payload, pid, &mut ops);
+    let (mut ops, mut finish_ops) = (OpCounter::new(), OpCounter::new());
+    let local = stages.decode_part(&payload, pid, &mut ops, &mut finish_ops);
+    drop(payload);
     charge_parts(env, stages.recv_phase(), &[(pid, ops.take())]);
-    let mid = mid?;
-    env.arena().recycle_bytes(payload.into_bytes());
-    let local = stages.finish(mid, &mut ops);
+    let local = local?;
     if let Some(phase) = stages.finish_phase() {
-        charge_parts(env, phase, &[(pid, ops.take())]);
+        charge_parts(env, phase, &[(pid, finish_ops.take())]);
     }
     Ok(local)
 }
@@ -659,7 +658,6 @@ async fn routed_receive<S: SchemeStages>(
             Err(e) => return Err(e.into()),
         };
         let tag = header.cursor().try_read_u64()?;
-        env.arena().recycle_bytes(header.into_bytes());
         if tag == ROUTED_DONE {
             break;
         }
@@ -673,7 +671,6 @@ async fn routed_receive<S: SchemeStages>(
             Err(e) => return Err(e),
         };
         if got.contains_key(&pid) {
-            env.arena().recycle_bytes(payload.into_bytes());
             continue;
         }
         got.insert(pid, decode_charged(env, stages, pid, payload)?);
@@ -1565,8 +1562,6 @@ mod tests {
     struct EchoStages;
 
     impl SchemeStages for EchoStages {
-        type Mid = LocalCompressed;
-
         fn scheme(&self) -> SchemeKind {
             SchemeKind::Ed
         }
@@ -1594,6 +1589,7 @@ mod tests {
             payload: &PackBuffer,
             _pid: usize,
             ops: &mut OpCounter,
+            _finish_ops: &mut OpCounter,
         ) -> Result<LocalCompressed, SparsedistError> {
             ops.add(1);
             let mut d = Dense2D::zeros(1, 1);
@@ -1602,9 +1598,6 @@ mod tests {
                 &d,
                 &mut OpCounter::new(),
             )))
-        }
-        fn finish(&self, mid: LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
-            mid
         }
     }
 

@@ -560,8 +560,11 @@ fn word(bytes: &[u8], at: usize) -> u64 {
 
 /// Write the `n` bytes of every raw plane, `raw[p]` for plane `p`, eight
 /// values at a time: one 8×8 byte transpose of eight words gives each
-/// plane its eight bytes.
+/// plane its eight bytes. Without a raw plane there is nothing to write.
 fn write_raw(values: &[f64], mut raw: [Option<&mut [u8]>; 8]) {
+    if raw.iter().all(Option::is_none) {
+        return;
+    }
     let whole = values.len() / 8 * 8;
     for (at, group) in (0..).step_by(8).zip(values.chunks_exact(8)) {
         let rows = transpose8(std::array::from_fn(|j| group[j].to_bits()));

@@ -234,17 +234,19 @@ impl PackBuffer {
     }
 }
 
-/// Most allocations a [`PackArena`] keeps. A rank that receives more
-/// buffers than it checks out (every receiver of a scatter) would
-/// otherwise hold each payload for the machine's lifetime.
+/// Most allocations a [`PackArena`] keeps, so a rank that recycles more
+/// buffers than it checks out again cannot hoard them.
 const POOL_CAP: usize = 1;
 
 /// A per-rank pool of backing byte vectors for [`PackBuffer`]s.
 ///
-/// Repeated distributions allocate and drop one send buffer per part per
-/// run; the arena keeps the freed allocations so the next run's
-/// [`PackArena::checkout`] reuses them instead of growing fresh vectors
-/// from zero. It keeps only the largest of them.
+/// Only a rank that checks buffers out again recycles into its arena:
+/// a distribution's source (a part buffer it has split into chunk
+/// frames), a receiver reassembling chunked parts (each frame), and the
+/// ranks of a collective. A receiver drops a payload it
+/// has decoded instead, since it checks nothing out during the run and a
+/// pooled payload would stay until the machine is dropped. The arena
+/// keeps only the largest freed allocation.
 /// Single-threaded, like the event loop that runs every rank task, and
 /// deterministic: recycling only changes *where* the bytes live, never
 /// what is written into them.

@@ -234,3 +234,44 @@ fn overlap_gain_survives_a_five_percent_drop_plan() {
         );
     }
 }
+
+/// No receiving rank checks a buffer out again during a scheme run, so a
+/// received payload is dropped rather than pooled: a pooled payload would
+/// stay in the receiver's arena until the machine is dropped. Plain and
+/// routed (a timed death scheduled past the run's end) drivers alike.
+#[test]
+fn receivers_pool_no_payload() {
+    let a = Dense2D::from_vec(
+        32,
+        24,
+        (0..32 * 24)
+            .map(|i| if i % 5 == 0 { i as f64 } else { 0.0 })
+            .collect(),
+    );
+    let part = RowCyclic::new(32, 24, 8);
+    let machines: [fn() -> Multicomputer; 2] = [
+        || Multicomputer::virtual_machine(8, MachineModel::ibm_sp2()),
+        || {
+            Multicomputer::virtual_machine(8, MachineModel::ibm_sp2())
+                .with_faults(FaultPlan::new(3).with_death_at(5, 1e12))
+        },
+    ];
+    for (driver, machine) in ["plain", "routed"].into_iter().zip(machines) {
+        for scheme in [SchemeKind::Sfc, SchemeKind::Cfs, SchemeKind::Ed] {
+            for config in [SchemeConfig::default(), SchemeConfig::overlapped()] {
+                let m = machine();
+                let run =
+                    run_scheme_with(scheme, &m, &a, &part, CompressKind::Crs, config).unwrap();
+                assert_eq!(run.reassemble(&part), a);
+                for r in 1..8 {
+                    assert_eq!(
+                        m.arena(r).pooled(),
+                        0,
+                        "{driver} {scheme} overlap={}: rank {r} pooled a payload",
+                        config.overlap
+                    );
+                }
+            }
+        }
+    }
+}
