@@ -8,6 +8,7 @@
 //! panic.
 
 use crate::compress::CompressError;
+use crate::partition::PartitionError;
 use sparsedist_multicomputer::engine::CommError;
 use sparsedist_multicomputer::pack::{PatchError, UnpackError};
 use std::fmt;
@@ -47,6 +48,9 @@ pub enum SparsedistError {
         /// The largest machine the engine supports.
         max: usize,
     },
+    /// A partition constructor's `try_new` got a zero extent: an empty
+    /// array, no processors, or a zero grid or block side.
+    Partition(PartitionError),
     /// A host filesystem operation failed (trace export, ledger dumps).
     /// Carries the path and the rendered `io::Error` — `std::io::Error` is
     /// neither `Clone` nor `PartialEq`, which this enum requires.
@@ -87,6 +91,7 @@ impl fmt::Display for SparsedistError {
                     "--procs {procs} exceeds the largest supported machine ({max} ranks)"
                 )
             }
+            SparsedistError::Partition(e) => write!(f, "{e}"),
             SparsedistError::Io { path, message } => {
                 write!(f, "{path}: {message}")
             }
@@ -104,6 +109,7 @@ impl std::error::Error for SparsedistError {
             SparsedistError::SourceDead { .. } => None,
             SparsedistError::NoSurvivors { .. } => None,
             SparsedistError::MachineTooLarge { .. } => None,
+            SparsedistError::Partition(e) => Some(e),
             SparsedistError::Io { .. } => None,
         }
     }
@@ -124,6 +130,12 @@ impl From<CompressError> for SparsedistError {
 impl From<UnpackError> for SparsedistError {
     fn from(e: UnpackError) -> Self {
         SparsedistError::Unpack(e)
+    }
+}
+
+impl From<PartitionError> for SparsedistError {
+    fn from(e: PartitionError) -> Self {
+        SparsedistError::Partition(e)
     }
 }
 

@@ -24,7 +24,8 @@
 //! 1-op-per-index charge.
 
 use super::{AxisMap, Partition};
-use std::fmt::Debug;
+use crate::error::SparsedistError;
+use std::fmt::{self, Debug};
 use std::marker::PhantomData;
 
 /// One axis of a grid partition: `len` global indices dealt in blocks of
@@ -202,17 +203,78 @@ impl<K: GridKind> Grid<K> {
         assert!(part < self.nparts(), "part {part} out of {}", self.nparts());
         (part / self.cols.np, part % self.cols.np)
     }
+
+    /// What `new` makes of its `try_new`: the grid, or a panic with the
+    /// check's message.
+    fn or_panic(grid: Result<Self, SparsedistError>) -> Self {
+        // lint: allow(E003) — `new` documents this panic; `try_new` is the fallible form
+        grid.unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one argument check behind every constructor: a positive array
+    /// shape, then positive block sides, then a positive processor count
+    /// (one entry in `procs`) or positive grid sides (two).
+    fn check(
+        rows: usize,
+        cols: usize,
+        procs: &[usize],
+        blocks: &[usize],
+    ) -> Result<(), PartitionError> {
+        if rows == 0 || cols == 0 {
+            Err(PartitionError::EmptyArray)
+        } else if blocks.contains(&0) {
+            Err(PartitionError::EmptyBlock)
+        } else if procs == [0] {
+            Err(PartitionError::NoProcessors)
+        } else if procs.contains(&0) {
+            Err(PartitionError::EmptyGrid)
+        } else {
+            Ok(())
+        }
+    }
 }
+
+/// Why a grid partition cannot be built: one of its extents is zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartitionError {
+    /// The array has no rows or no columns.
+    EmptyArray,
+    /// A one-axis partition over zero processors.
+    NoProcessors,
+    /// A `pr × pc` processor grid with a zero side.
+    EmptyGrid,
+    /// A block-cyclic block with a zero side.
+    EmptyBlock,
+}
+
+impl fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PartitionError::EmptyArray => "array dimensions must be positive",
+            PartitionError::NoProcessors => "need at least one processor",
+            PartitionError::EmptyGrid => "grid dimensions must be positive",
+            PartitionError::EmptyBlock => "block dimensions must be positive",
+        })
+    }
+}
+
+impl std::error::Error for PartitionError {}
 
 impl RowBlock {
     /// Partition an `rows × cols` array over `p` processors.
     ///
     /// # Panics
-    /// Panics if any argument is zero.
+    /// Panics if any argument is zero; [`RowBlock::try_new`] returns the
+    /// error instead.
     pub fn new(rows: usize, cols: usize, p: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        assert!(p > 0, "need at least one processor");
-        Grid::of(Axis::block(rows, p), Axis::block(cols, 1))
+        Self::or_panic(Self::try_new(rows, cols, p))
+    }
+
+    /// [`RowBlock::new`], or [`SparsedistError::Partition`] if any argument
+    /// is zero.
+    pub fn try_new(rows: usize, cols: usize, p: usize) -> Result<Self, SparsedistError> {
+        Self::check(rows, cols, &[p], &[])?;
+        Ok(Grid::of(Axis::block(rows, p), Axis::block(cols, 1)))
     }
 }
 
@@ -220,11 +282,17 @@ impl ColBlock {
     /// Partition an `rows × cols` array over `p` processors.
     ///
     /// # Panics
-    /// Panics if any argument is zero.
+    /// Panics if any argument is zero; [`ColBlock::try_new`] returns the
+    /// error instead.
     pub fn new(rows: usize, cols: usize, p: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        assert!(p > 0, "need at least one processor");
-        Grid::of(Axis::block(rows, 1), Axis::block(cols, p))
+        Self::or_panic(Self::try_new(rows, cols, p))
+    }
+
+    /// [`ColBlock::new`], or [`SparsedistError::Partition`] if any argument
+    /// is zero.
+    pub fn try_new(rows: usize, cols: usize, p: usize) -> Result<Self, SparsedistError> {
+        Self::check(rows, cols, &[p], &[])?;
+        Ok(Grid::of(Axis::block(rows, 1), Axis::block(cols, p)))
     }
 }
 
@@ -232,11 +300,22 @@ impl Mesh2D {
     /// Partition an `rows × cols` array over a `pr × pc` grid.
     ///
     /// # Panics
-    /// Panics if any argument is zero.
+    /// Panics if any argument is zero; [`Mesh2D::try_new`] returns the
+    /// error instead.
     pub fn new(rows: usize, cols: usize, pr: usize, pc: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        assert!(pr > 0 && pc > 0, "grid dimensions must be positive");
-        Grid::of(Axis::block(rows, pr), Axis::block(cols, pc))
+        Self::or_panic(Self::try_new(rows, cols, pr, pc))
+    }
+
+    /// [`Mesh2D::new`], or [`SparsedistError::Partition`] if any argument
+    /// is zero.
+    pub fn try_new(
+        rows: usize,
+        cols: usize,
+        pr: usize,
+        pc: usize,
+    ) -> Result<Self, SparsedistError> {
+        Self::check(rows, cols, &[pr, pc], &[])?;
+        Ok(Grid::of(Axis::block(rows, pr), Axis::block(cols, pc)))
     }
 }
 
@@ -245,11 +324,17 @@ impl RowCyclic {
     /// processors.
     ///
     /// # Panics
-    /// Panics if any argument is zero.
+    /// Panics if any argument is zero; [`RowCyclic::try_new`] returns the
+    /// error instead.
     pub fn new(rows: usize, cols: usize, p: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        assert!(p > 0, "need at least one processor");
-        Grid::of(Axis::cyclic(rows, 1, p), Axis::block(cols, 1))
+        Self::or_panic(Self::try_new(rows, cols, p))
+    }
+
+    /// [`RowCyclic::new`], or [`SparsedistError::Partition`] if any argument
+    /// is zero.
+    pub fn try_new(rows: usize, cols: usize, p: usize) -> Result<Self, SparsedistError> {
+        Self::check(rows, cols, &[p], &[])?;
+        Ok(Grid::of(Axis::cyclic(rows, 1, p), Axis::block(cols, 1)))
     }
 }
 
@@ -258,11 +343,17 @@ impl ColCyclic {
     /// processors.
     ///
     /// # Panics
-    /// Panics if any argument is zero.
+    /// Panics if any argument is zero; [`ColCyclic::try_new`] returns the
+    /// error instead.
     pub fn new(rows: usize, cols: usize, p: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        assert!(p > 0, "need at least one processor");
-        Grid::of(Axis::block(rows, 1), Axis::cyclic(cols, 1, p))
+        Self::or_panic(Self::try_new(rows, cols, p))
+    }
+
+    /// [`ColCyclic::new`], or [`SparsedistError::Partition`] if any argument
+    /// is zero.
+    pub fn try_new(rows: usize, cols: usize, p: usize) -> Result<Self, SparsedistError> {
+        Self::check(rows, cols, &[p], &[])?;
+        Ok(Grid::of(Axis::block(rows, 1), Axis::cyclic(cols, 1, p)))
     }
 }
 
@@ -271,12 +362,27 @@ impl BlockCyclic {
     /// round-robin over a `pr × pc` processor grid.
     ///
     /// # Panics
-    /// Panics if any argument is zero.
+    /// Panics if any argument is zero; [`BlockCyclic::try_new`] returns the
+    /// error instead.
     pub fn new(rows: usize, cols: usize, br: usize, bc: usize, pr: usize, pc: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        assert!(br > 0 && bc > 0, "block dimensions must be positive");
-        assert!(pr > 0 && pc > 0, "grid dimensions must be positive");
-        Grid::of(Axis::cyclic(rows, br, pr), Axis::cyclic(cols, bc, pc))
+        Self::or_panic(Self::try_new(rows, cols, br, bc, pr, pc))
+    }
+
+    /// [`BlockCyclic::new`], or [`SparsedistError::Partition`] if any argument
+    /// is zero.
+    pub fn try_new(
+        rows: usize,
+        cols: usize,
+        br: usize,
+        bc: usize,
+        pr: usize,
+        pc: usize,
+    ) -> Result<Self, SparsedistError> {
+        Self::check(rows, cols, &[pr, pc], &[br, bc])?;
+        Ok(Grid::of(
+            Axis::cyclic(rows, br, pr),
+            Axis::cyclic(cols, bc, pc),
+        ))
     }
 }
 
@@ -509,6 +615,81 @@ mod tests {
         assert_eq!(part.local_shape(0), (10, 2));
         assert_eq!(part.owner_of(0, 7), 3);
         assert_eq!(part.col_to_local(3, 7), 1);
+    }
+
+    #[test]
+    fn try_new_rejects_every_zero_extent() {
+        use PartitionError::*;
+        let dims = [(0, 4), (4, 0), (0, 0)];
+        let mut cases: Vec<(Result<(), SparsedistError>, PartitionError)> = Vec::new();
+        for (r, c) in dims {
+            cases.extend([
+                (RowBlock::try_new(r, c, 2).map(drop), EmptyArray),
+                (ColBlock::try_new(r, c, 2).map(drop), EmptyArray),
+                (Mesh2D::try_new(r, c, 2, 2).map(drop), EmptyArray),
+                (RowCyclic::try_new(r, c, 2).map(drop), EmptyArray),
+                (ColCyclic::try_new(r, c, 2).map(drop), EmptyArray),
+                (BlockCyclic::try_new(r, c, 1, 1, 2, 2).map(drop), EmptyArray),
+                // The array is checked first.
+                (RowBlock::try_new(r, c, 0).map(drop), EmptyArray),
+                (BlockCyclic::try_new(r, c, 0, 0, 0, 0).map(drop), EmptyArray),
+            ]);
+        }
+        for (a, b) in [(0, 2), (2, 0), (0, 0)] {
+            cases.extend([
+                (Mesh2D::try_new(4, 4, a, b).map(drop), EmptyGrid),
+                (BlockCyclic::try_new(4, 4, 1, 1, a, b).map(drop), EmptyGrid),
+                (BlockCyclic::try_new(4, 4, a, b, 2, 2).map(drop), EmptyBlock),
+                // Blocks are checked before the grid.
+                (BlockCyclic::try_new(4, 4, a, b, 0, 0).map(drop), EmptyBlock),
+            ]);
+        }
+        cases.extend([
+            (RowBlock::try_new(4, 4, 0).map(drop), NoProcessors),
+            (ColBlock::try_new(4, 4, 0).map(drop), NoProcessors),
+            (RowCyclic::try_new(4, 4, 0).map(drop), NoProcessors),
+            (ColCyclic::try_new(4, 4, 0).map(drop), NoProcessors),
+        ]);
+        for (i, (got, want)) in cases.into_iter().enumerate() {
+            assert_eq!(got, Err(SparsedistError::Partition(want)), "case {i}");
+        }
+    }
+
+    #[test]
+    fn try_new_builds_what_new_builds() {
+        assert_eq!(RowBlock::try_new(10, 8, 4), Ok(RowBlock::new(10, 8, 4)));
+        assert_eq!(ColBlock::try_new(10, 8, 4), Ok(ColBlock::new(10, 8, 4)));
+        assert_eq!(Mesh2D::try_new(10, 8, 2, 3), Ok(Mesh2D::new(10, 8, 2, 3)));
+        assert_eq!(RowCyclic::try_new(10, 8, 4), Ok(RowCyclic::new(10, 8, 4)));
+        assert_eq!(ColCyclic::try_new(10, 8, 4), Ok(ColCyclic::new(10, 8, 4)));
+        assert_eq!(
+            BlockCyclic::try_new(10, 8, 2, 3, 2, 2),
+            Ok(BlockCyclic::new(10, 8, 2, 3, 2, 2))
+        );
+    }
+
+    #[test]
+    fn new_keeps_its_panic_messages() {
+        let message = |f: fn() -> usize| {
+            let panic = std::panic::catch_unwind(f).unwrap_err();
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        assert_eq!(
+            message(|| ColBlock::new(0, 4, 2).nparts()),
+            "array dimensions must be positive"
+        );
+        assert_eq!(
+            message(|| RowCyclic::new(4, 4, 0).nparts()),
+            "need at least one processor"
+        );
+        assert_eq!(
+            message(|| Mesh2D::new(4, 4, 0, 4).nparts()),
+            "grid dimensions must be positive"
+        );
+        assert_eq!(
+            message(|| BlockCyclic::new(4, 4, 2, 0, 2, 2).nparts()),
+            "block dimensions must be positive"
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@ mod grid;
 
 pub use balanced::BalancedRows;
 pub use grid::{
-    BlockCyc, BlockCyclic, Col, ColBlock, ColCyc, ColCyclic, Grid, GridKind, Mesh, Mesh2D, Row,
-    RowBlock, RowCyc, RowCyclic,
+    BlockCyc, BlockCyclic, Col, ColBlock, ColCyc, ColCyclic, Grid, GridKind, Mesh, Mesh2D,
+    PartitionError, Row, RowBlock, RowCyc, RowCyclic,
 };
 
 use crate::dense::Dense2D;

@@ -45,9 +45,17 @@ impl SchemeStages for Stages<'_> {
         Phase::Unpack
     }
 
+    /// A v1 payload's exact size, the bare `f64` run. A v3 payload's size
+    /// is known only once its planes are planned, and the encoder then
+    /// grows the buffer to it in one step, so only the header is reserved.
     fn buf_capacity(&self, pid: usize) -> usize {
-        let (lrows, lcols) = self.part.local_shape(pid);
-        lrows * lcols * 8 + wire::HEADER_LEN
+        match self.policy.format {
+            WireFormat::V1 => {
+                let (lrows, lcols) = self.part.local_shape(pid);
+                lrows * lcols * 8
+            }
+            WireFormat::V3 => wire::HEADER_LEN,
+        }
     }
 
     /// Pack one part's dense local array for the wire.
