@@ -2,7 +2,7 @@
 
 use crate::args::Parsed;
 use sparsedist::array::DistributedSparseArray;
-use sparsedist_core::compress::{Ccs, CompressKind, Coo, Crs};
+use sparsedist_core::compress::{compress_part, CompressKind, Coo};
 use sparsedist_core::cost::{predict, CostInput, PartitionMethod};
 use sparsedist_core::dense::Dense2D;
 use sparsedist_core::error::SparsedistError;
@@ -128,6 +128,17 @@ fn parse_codec(s: &str) -> Result<CodecChoice, CmdError> {
         "packed" => Ok(CodecChoice::Packed),
         other => Err(format!("unknown codec '{other}' (auto|raw|delta|packed)")),
     }
+}
+
+/// The scheme configuration from `--wire`, `--codec`, `--overlap` and
+/// `--chunk-elems`.
+fn scheme_config(p: &Parsed) -> Result<SchemeConfig, CmdError> {
+    Ok(SchemeConfig {
+        wire: parse_wire(p.flag_or("wire", "v1"))?,
+        codec: parse_codec(p.flag_or("codec", "packed"))?,
+        overlap: p.flag_or("overlap", "no") == "yes",
+        chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
+    })
 }
 
 fn parse_model(s: &str) -> Result<MachineModel, CmdError> {
@@ -310,14 +321,8 @@ pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let kind = parse_kind(p.flag_or("kind", "crs"))?;
     let model = parse_model(p.flag_or("model", "sp2"))?;
-    let wire = parse_wire(p.flag_or("wire", "v1"))?;
-    let codec = parse_codec(p.flag_or("codec", "packed"))?;
-    let config = SchemeConfig {
-        wire,
-        codec,
-        overlap: p.flag_or("overlap", "no") == "yes",
-        chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
-    };
+    let config = scheme_config(p)?;
+    let (wire, codec) = (config.wire, config.codec);
     let part = build_partition(p, a.rows(), a.cols(), procs)?;
     let mut machine = build_machine(p, procs, model)?;
     let sink = p
@@ -364,24 +369,21 @@ pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
     );
     if p.flag_or("streams", "no") == "yes" {
         let policy = WirePolicy::new(wire, codec, machine.model());
-        let (grows, gcols) = (a.rows(), a.cols());
         let mut tally = StreamBytes::default();
         for pid in 0..procs {
             // Rebuild the exact per-part streams the compressed schemes
             // put on the wire (travelling indices in the global
             // co-dimension) and measure them columnar under the policy.
             let mut ops = sparsedist_core::opcount::OpCounter::new();
-            let sb = match kind {
-                CompressKind::Crs => {
-                    let crs = Crs::from_part_global(&a, part.as_ref(), pid, &mut ops);
-                    wire::measure_streams(gcols, crs.ro(), crs.co(), crs.vl(), &policy)
-                }
-                CompressKind::Ccs => {
-                    let ccs = Ccs::from_part_global(&a, part.as_ref(), pid, &mut ops);
-                    wire::measure_streams(grows, ccs.cp(), ccs.ri(), ccs.vl(), &policy)
-                }
-            };
-            tally.add(sb);
+            let l = compress_part(kind, &a, part.as_ref(), pid, &mut ops);
+            let bound = l.index_bound();
+            tally.add(wire::measure_streams(
+                bound,
+                l.pointer(),
+                l.indices(),
+                l.values(),
+                &policy,
+            ));
         }
         let ratio = |raw: usize, enc: usize| {
             if raw == 0 {
@@ -476,14 +478,9 @@ pub fn trace_cmd(p: &Parsed) -> Result<String, CmdError> {
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let kind = parse_kind(p.flag_or("kind", "crs"))?;
     let model = parse_model(p.flag_or("model", "sp2"))?;
-    let wire = parse_wire(p.flag_or("wire", "v1"))?;
+    let config = scheme_config(p)?;
+    let wire = config.wire;
     let width = p.usize_or("width", 60).map_err(|e| e.to_string())?;
-    let config = SchemeConfig {
-        wire,
-        codec: parse_codec(p.flag_or("codec", "packed"))?,
-        overlap: p.flag_or("overlap", "no") == "yes",
-        chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
-    };
     let part = build_partition(p, a.rows(), a.cols(), procs)?;
     let sink = Arc::new(MemorySink::new());
     let machine = build_machine(p, procs, model)?.with_trace_sink(sink.clone());
@@ -533,12 +530,7 @@ pub fn chaos_cmd(p: &Parsed) -> Result<String, CmdError> {
         "all" => SchemeKind::ALL.to_vec(),
         s => vec![parse_scheme(s)?],
     };
-    let config = SchemeConfig {
-        wire: parse_wire(p.flag_or("wire", "v1"))?,
-        codec: parse_codec(p.flag_or("codec", "packed"))?,
-        overlap: p.flag_or("overlap", "no") == "yes",
-        chunk_elems: p.usize_or("chunk-elems", 0).map_err(|e| e.to_string())?,
-    };
+    let config = scheme_config(p)?;
     if procs < 2 {
         return Err("chaos needs --procs >= 2".into());
     }

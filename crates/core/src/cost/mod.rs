@@ -124,10 +124,7 @@ pub fn predict(
     let lcells = lrows * lcols;
     let nnz_max = sm * lcells; // slowest part's nonzeros
                                // Count/pointer segments per part: rows for CRS, columns for CCS.
-    let segs = match kind {
-        CompressKind::Crs => lrows,
-        CompressKind::Ccs => lcols,
-    };
+    let (segs, _) = kind.orient(lrows, lcols);
     // Does the receiver convert indices? (Cases 3.2.x / 3.3.x.)
     let converts = match (method, kind) {
         (PartitionMethod::Row, CompressKind::Crs) => false,

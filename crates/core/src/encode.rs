@@ -14,7 +14,7 @@
 //! stream, reads the segments back, and converts each `C_ij` per the
 //! Cases in [`crate::convert`] with the op accounting of Tables 1–2.
 
-use crate::compress::{Ccs, CompressKind, Crs, LocalCompressed};
+use crate::compress::{CompressKind, LocalCompressed};
 use crate::convert::IndexConverter;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
@@ -37,10 +37,7 @@ pub fn encode_part(
     ops: &mut OpCounter,
 ) -> PackBuffer {
     let (lrows, lcols) = part.local_shape(pid);
-    let (outer, inner) = match kind {
-        CompressKind::Crs => (lrows, lcols),
-        CompressKind::Ccs => (lcols, lrows),
-    };
+    let (outer, inner) = kind.orient(lrows, lcols);
     let mut buf = PackBuffer::with_capacity(outer + 2 * (outer * inner) / 8 + 1);
     encode_part_into(
         &mut buf,
@@ -116,10 +113,7 @@ pub fn decode_part_wire(
     ops: &mut OpCounter,
 ) -> Result<LocalCompressed, SparsedistError> {
     let (lrows, lcols) = part.local_shape(pid);
-    let outer = match kind {
-        CompressKind::Crs => lrows,
-        CompressKind::Ccs => lcols,
-    };
+    let (outer, _) = kind.orient(lrows, lcols);
     let converter = IndexConverter::new(part, pid, kind);
     let bound = converter.local_index_bound(kind);
 
@@ -139,15 +133,10 @@ pub fn decode_part_wire(
         }
     }
 
-    let state = match kind {
-        CompressKind::Crs => {
-            Crs::from_raw(lrows, bound, pointer, indices, values).map(LocalCompressed::Crs)
-        }
-        CompressKind::Ccs => {
-            Ccs::from_raw(bound, lcols, pointer, indices, values).map(LocalCompressed::Ccs)
-        }
-    };
-    Ok(state?)
+    let (rows, cols) = kind.orient(outer, bound);
+    Ok(LocalCompressed::from_raw(
+        kind, rows, cols, pointer, indices, values,
+    )?)
 }
 
 #[cfg(test)]
@@ -201,9 +190,11 @@ mod tests {
         let buf = encode_part(&a, &part, 1, CompressKind::Ccs, &mut OpCounter::new());
         let got = decode_part(&buf, &part, 1, CompressKind::Ccs, &mut OpCounter::new()).unwrap();
         let ccs = got.as_ccs();
-        assert_eq!(ccs.cp_paper(), vec![1, 1, 1, 1, 2, 3, 4, 4, 4]);
-        assert_eq!(ccs.ri_paper(), vec![2, 3, 1]);
-        assert_eq!(ccs.vl(), &[6.0, 7.0, 5.0]);
+        assert_eq!(
+            ccs.paper(),
+            (vec![1, 1, 1, 1, 2, 3, 4, 4, 4], vec![2, 3, 1])
+        );
+        assert_eq!(ccs.values(), &[6.0, 7.0, 5.0]);
         // The decoded local array matches the extracted dense part.
         assert_eq!(ccs.to_dense(), part.extract_dense(&a, 1));
     }

@@ -15,7 +15,7 @@
 //!   buffer of its local array with global indices; the source decodes all
 //!   `p` buffers straight into the global compressed array.
 
-use crate::compress::{Ccs, CompressKind, Crs, LocalCompressed};
+use crate::compress::{CompressKind, LocalCompressed};
 use crate::convert::conversion_case;
 use crate::convert::ConversionCase;
 use crate::error::SparsedistError;
@@ -60,30 +60,22 @@ impl GatherRun {
     }
 }
 
-/// Convert one local nonzero's travelling index to global at the sender:
-/// the exact inverse of the receive-side Cases 3.2.x/3.3.x, charged the
-/// same one op when (and only when) the distribution direction would have
-/// charged it.
-fn globalise(
+/// The global value of part `pid`'s local travelling indices at the
+/// sender: the exact inverse of the receive-side Cases 3.2.x/3.3.x,
+/// charged the same one op when (and only when) the distribution direction
+/// would have charged it.
+fn globaliser(
     part: &dyn Partition,
-    me: usize,
+    pid: usize,
     kind: CompressKind,
-    lr: usize,
-    lc: usize,
-    ops: &mut OpCounter,
-) -> usize {
-    let (gr, gc) = part.to_global(me, lr, lc);
-    match (kind, conversion_case(part, kind)) {
-        (CompressKind::Crs, ConversionCase::None) => gc,
-        (CompressKind::Ccs, ConversionCase::None) => gr,
-        (CompressKind::Crs, _) => {
+) -> impl Fn(usize, &mut OpCounter) -> usize {
+    let (_, index_map) = kind.orient(part.row_map(pid), part.col_map(pid));
+    let converts = conversion_case(part, kind) != ConversionCase::None;
+    move |i, ops| {
+        if converts {
             ops.tick();
-            gc
         }
-        (CompressKind::Ccs, _) => {
-            ops.tick();
-            gr
-        }
+        index_map.get(i)
     }
 }
 
@@ -113,61 +105,31 @@ fn pack_part(
             // Ship count + (travelling-global index, value) runs per
             // segment pointer, i.e. the CFS layout in reverse: pointer
             // array then indices (globalised) then values.
+            let globalise = globaliser(part, pid, kind);
             let mut buf = PackBuffer::new();
-            match local {
-                LocalCompressed::Crs(a) => {
-                    buf.push_usize_slice(a.ro());
-                    ops.add(a.ro().len() as u64);
-                    for (lr, lc, _) in a.iter() {
-                        let g = globalise(part, pid, kind, lr, lc, ops);
-                        buf.push_u64(g as u64);
-                        ops.tick();
-                    }
-                    buf.push_f64_slice(a.vl());
-                    ops.add(a.vl().len() as u64);
-                }
-                LocalCompressed::Ccs(a) => {
-                    buf.push_usize_slice(a.cp());
-                    ops.add(a.cp().len() as u64);
-                    for (lr, lc, _) in a.iter() {
-                        let g = globalise(part, pid, kind, lr, lc, ops);
-                        buf.push_u64(g as u64);
-                        ops.tick();
-                    }
-                    buf.push_f64_slice(a.vl());
-                    ops.add(a.vl().len() as u64);
-                }
+            buf.push_usize_slice(local.pointer());
+            ops.add(local.pointer().len() as u64);
+            for &i in local.indices() {
+                buf.push_u64(globalise(i, ops) as u64);
+                ops.tick();
             }
+            buf.push_f64_slice(local.values());
+            ops.add(local.nnz() as u64);
             buf
         }
         GatherStrategy::Encoded => {
             // ED layout per segment: count, then (global index, value)
             // pairs.
+            let globalise = globaliser(part, pid, kind);
             let mut buf = PackBuffer::new();
-            match local {
-                LocalCompressed::Crs(a) => {
-                    for r in 0..a.rows() {
-                        buf.push_u64(a.row_nnz(r) as u64);
-                        ops.tick();
-                        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                            let g = globalise(part, pid, kind, r, c, ops);
-                            buf.push_u64(g as u64);
-                            buf.push_f64(v);
-                            ops.add(2);
-                        }
-                    }
-                }
-                LocalCompressed::Ccs(a) => {
-                    for c in 0..a.cols() {
-                        buf.push_u64(a.col_nnz(c) as u64);
-                        ops.tick();
-                        for (&r, &v) in a.col_rows(c).iter().zip(a.col_vals(c)) {
-                            let g = globalise(part, pid, kind, r, c, ops);
-                            buf.push_u64(g as u64);
-                            buf.push_f64(v);
-                            ops.add(2);
-                        }
-                    }
+            for s in 0..local.nsegments() {
+                let (indices, values) = local.segment(s);
+                buf.push_u64(indices.len() as u64);
+                ops.tick();
+                for (&i, &v) in indices.iter().zip(values) {
+                    buf.push_u64(globalise(i, ops) as u64);
+                    buf.push_f64(v);
+                    ops.add(2);
                 }
             }
             buf
@@ -188,6 +150,8 @@ fn unpack_part(
 ) -> Result<(), SparsedistError> {
     let mut cursor = payload.cursor();
     let (lrows, lcols) = part.local_shape(src);
+    let (nsegs, _) = kind.orient(lrows, lcols);
+    let segment_map = || kind.orient(part.row_map(src), part.col_map(src)).0;
     match strategy {
         GatherStrategy::Dense => {
             for lr in 0..lrows {
@@ -203,29 +167,18 @@ fn unpack_part(
             }
         }
         GatherStrategy::Compressed => {
-            let nsegs = match kind {
-                CompressKind::Crs => lrows,
-                CompressKind::Ccs => lcols,
-            };
             let pointer = cursor.try_read_usize_vec(nsegs + 1)?;
             ops.add((nsegs + 1) as u64);
             let nnz = pointer[nsegs];
             let travelling = cursor.try_read_usize_vec(nnz)?;
             let values = cursor.try_read_f64_vec(nnz)?;
             ops.add(2 * nnz as u64);
+            let segment_map = segment_map();
             let mut k = 0;
             for seg in 0..nsegs {
+                let g = segment_map.get(seg);
                 for _ in pointer[seg]..pointer[seg + 1] {
-                    let (gr, gc) = match kind {
-                        CompressKind::Crs => {
-                            let (gr, _) = part.to_global(src, seg, 0);
-                            (gr, travelling[k])
-                        }
-                        CompressKind::Ccs => {
-                            let (_, gc) = part.to_global(src, 0, seg);
-                            (travelling[k], gc)
-                        }
-                    };
+                    let (gr, gc) = kind.orient(g, travelling[k]);
                     trips.push((gr, gc, values[k]));
                     ops.tick();
                     k += 1;
@@ -233,27 +186,16 @@ fn unpack_part(
             }
         }
         GatherStrategy::Encoded => {
-            let nsegs = match kind {
-                CompressKind::Crs => lrows,
-                CompressKind::Ccs => lcols,
-            };
+            let segment_map = segment_map();
             for seg in 0..nsegs {
+                let g = segment_map.get(seg);
                 let count = cursor.try_read_usize()?;
                 ops.tick();
                 for _ in 0..count {
-                    let g = cursor.try_read_usize()?;
+                    let i = cursor.try_read_usize()?;
                     let v = cursor.try_read_f64()?;
                     ops.add(2);
-                    let (gr, gc) = match kind {
-                        CompressKind::Crs => {
-                            let (gr, _) = part.to_global(src, seg, 0);
-                            (gr, g)
-                        }
-                        CompressKind::Ccs => {
-                            let (_, gc) = part.to_global(src, 0, seg);
-                            (g, gc)
-                        }
-                    };
+                    let (gr, gc) = kind.orient(g, i);
                     trips.push((gr, gc, v));
                     ops.tick();
                 }
@@ -339,14 +281,7 @@ fn gather_task<'e>(
         let (grows, gcols) = part.global_shape();
         Ok(Some(env.phase(Phase::Compress, |env| {
             let mut ops = OpCounter::new();
-            let global = match kind {
-                CompressKind::Crs => {
-                    LocalCompressed::Crs(Crs::from_triplets(grows, gcols, &trips, &mut ops))
-                }
-                CompressKind::Ccs => {
-                    LocalCompressed::Ccs(Ccs::from_triplets(grows, gcols, &trips, &mut ops))
-                }
-            };
+            let global = LocalCompressed::from_triplets(kind, grows, gcols, &trips, &mut ops);
             env.charge_ops(ops.take());
             global
         })))

@@ -23,7 +23,7 @@
 //! nonzero — and receivers rebuild CRS/CCS by counting sort, charged per
 //! element like every other kernel in this crate.
 
-use crate::compress::{Ccs, CompressKind, Crs, LocalCompressed};
+use crate::compress::{CompressKind, LocalCompressed};
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
@@ -118,23 +118,11 @@ fn bucket_by_new_owner(
     ops: &mut OpCounter,
 ) -> Vec<Vec<(usize, usize, f64)>> {
     let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
-    let mut push = |lr: usize, lc: usize, v: f64, ops: &mut OpCounter| {
+    for (lr, lc, v) in local.iter() {
         let (gr, gc) = from.to_global(me, lr, lc);
         let dest = to.owner_of(gr, gc);
         ops.add(2); // index mapping + ownership
         buckets[dest].push((gr, gc, v));
-    };
-    match local {
-        LocalCompressed::Crs(a) => {
-            for (lr, lc, v) in a.iter() {
-                push(lr, lc, v, ops);
-            }
-        }
-        LocalCompressed::Ccs(a) => {
-            for (lr, lc, v) in a.iter() {
-                push(lr, lc, v, ops);
-            }
-        }
     }
     buckets
 }
@@ -155,10 +143,7 @@ fn build_local(
         *t = (lr, lc, t.2);
         ops.add(2);
     }
-    match kind {
-        CompressKind::Crs => LocalCompressed::Crs(Crs::from_triplets(lrows, lcols, &trips, ops)),
-        CompressKind::Ccs => LocalCompressed::Ccs(Ccs::from_triplets(lrows, lcols, &trips, ops)),
-    }
+    LocalCompressed::from_triplets(kind, lrows, lcols, &trips, ops)
 }
 
 /// Everything a redistribution rank task reads, threaded through

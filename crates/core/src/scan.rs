@@ -366,7 +366,8 @@ impl PartScan {
                 for lr in 0..crs.rows() {
                     let gr = self.rows.get(lr);
                     let row = &mut data[gr * gcols..(gr + 1) * gcols];
-                    let cells = crs.row_cols(lr).iter().zip(crs.row_vals(lr));
+                    let (lcs, vals) = crs.segment(lr);
+                    let cells = lcs.iter().zip(vals);
                     match &self.cols {
                         AxisMap::Range(r) => {
                             let row = &mut row[r.clone()];
@@ -379,7 +380,8 @@ impl PartScan {
             LocalCompressed::Ccs(ccs) => {
                 for lc in 0..ccs.cols() {
                     let col = &mut data[self.cols.get(lc)..];
-                    let cells = ccs.col_rows(lc).iter().zip(ccs.col_vals(lc));
+                    let (lrs, vals) = ccs.segment(lc);
+                    let cells = lrs.iter().zip(vals);
                     match &self.rows {
                         AxisMap::Range(r) => {
                             cells.for_each(|(&lr, &v)| col[(r.start + lr) * gcols] = v);

@@ -14,7 +14,7 @@
 //! The driver flow (compress → pack → send → unpack) lives in the shared
 //! [`pipeline`] module; this file only supplies the stage hooks.
 
-use crate::compress::{Ccs, CompressKind, Crs, LocalCompressed};
+use crate::compress::{compress_part, CompressKind, LocalCompressed};
 use crate::convert::IndexConverter;
 use crate::dense::Dense2D;
 use crate::error::SparsedistError;
@@ -64,17 +64,15 @@ impl SchemeStages for Stages<'_> {
         pid: usize,
         ops: &mut OpCounter,
     ) -> Result<(), SparsedistError> {
-        let (grows, gcols) = self.part.global_shape();
-        match self.kind {
-            CompressKind::Crs => {
-                let crs = Crs::from_part_global(self.global, self.part, pid, ops);
-                wire::pack_triple_into(buf, crs.ro(), crs.co(), crs.vl(), gcols, &self.policy);
-            }
-            CompressKind::Ccs => {
-                let ccs = Ccs::from_part_global(self.global, self.part, pid, ops);
-                wire::pack_triple_into(buf, ccs.cp(), ccs.ri(), ccs.vl(), grows, &self.policy);
-            }
-        }
+        let a = compress_part(self.kind, self.global, self.part, pid, ops);
+        wire::pack_triple_into(
+            buf,
+            a.pointer(),
+            a.indices(),
+            a.values(),
+            a.index_bound(),
+            &self.policy,
+        );
         Ok(())
     }
 
@@ -88,10 +86,7 @@ impl SchemeStages for Stages<'_> {
         _finish_ops: &mut OpCounter,
     ) -> Result<LocalCompressed, SparsedistError> {
         let (lrows, lcols) = self.part.local_shape(pid);
-        let nsegments = match self.kind {
-            CompressKind::Crs => lrows,
-            CompressKind::Ccs => lcols,
-        };
+        let (nsegments, _) = self.kind.orient(lrows, lcols);
         let converter = IndexConverter::new(self.part, pid, self.kind);
         let bound = converter.local_index_bound(self.kind);
 
@@ -115,14 +110,10 @@ impl SchemeStages for Stages<'_> {
             .into());
         }
 
-        Ok(match self.kind {
-            CompressKind::Crs => {
-                LocalCompressed::Crs(Crs::from_raw(lrows, bound, pointer, indices, values)?)
-            }
-            CompressKind::Ccs => {
-                LocalCompressed::Ccs(Ccs::from_raw(bound, lcols, pointer, indices, values)?)
-            }
-        })
+        let (rows, cols) = self.kind.orient(nsegments, bound);
+        Ok(LocalCompressed::from_raw(
+            self.kind, rows, cols, pointer, indices, values,
+        )?)
     }
 }
 

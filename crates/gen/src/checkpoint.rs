@@ -17,7 +17,7 @@
 //! reused verbatim. The trailing CRC32 word catches single-bit flips that
 //! the structural validators cannot (e.g. a corrupted `f64` value).
 
-use sparsedist_core::compress::{Ccs, CompressError, Crs, LocalCompressed};
+use sparsedist_core::compress::{CompressError, CompressKind, LocalCompressed};
 use sparsedist_multicomputer::pack::crc32;
 use sparsedist_multicomputer::PackBuffer;
 use std::fmt;
@@ -71,32 +71,23 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
+/// The kind word of each format: its position here.
+const KINDS: [CompressKind; 2] = [CompressKind::Crs, CompressKind::Ccs];
+
 fn encode(local: &LocalCompressed) -> PackBuffer {
     let mut buf = PackBuffer::new();
     buf.push_u64(MAGIC);
     buf.push_u64(VERSION);
-    match local {
-        LocalCompressed::Crs(a) => {
-            buf.push_u64(0);
-            buf.push_u64(a.rows() as u64);
-            buf.push_u64(a.cols() as u64);
-            buf.push_u64(a.ro().len() as u64);
-            buf.push_usize_slice(a.ro());
-            buf.push_u64(a.nnz() as u64);
-            buf.push_usize_slice(a.co());
-            buf.push_f64_slice(a.vl());
-        }
-        LocalCompressed::Ccs(a) => {
-            buf.push_u64(1);
-            buf.push_u64(a.rows() as u64);
-            buf.push_u64(a.cols() as u64);
-            buf.push_u64(a.cp().len() as u64);
-            buf.push_usize_slice(a.cp());
-            buf.push_u64(a.nnz() as u64);
-            buf.push_usize_slice(a.ri());
-            buf.push_f64_slice(a.vl());
-        }
-    }
+    let kind = KINDS.iter().position(|&k| k == local.kind());
+    buf.push_u64(kind.expect("KINDS lists every kind") as u64);
+    let (rows, cols) = local.shape();
+    buf.push_u64(rows as u64);
+    buf.push_u64(cols as u64);
+    buf.push_u64(local.pointer().len() as u64);
+    buf.push_usize_slice(local.pointer());
+    buf.push_u64(local.nnz() as u64);
+    buf.push_usize_slice(local.indices());
+    buf.push_f64_slice(local.values());
     let crc = buf.crc32();
     buf.push_u64(u64::from(crc));
     buf
@@ -183,15 +174,12 @@ fn decode(rank: usize, bytes: &[u8]) -> Result<LocalCompressed, CkptError> {
     if !c.is_exhausted() {
         return Err(corrupt("trailing bytes"));
     }
-    match kind {
-        0 => Crs::from_raw(rows, cols, pointer, indices, values)
-            .map(LocalCompressed::Crs)
-            .map_err(|source| CkptError::Invalid { rank, source }),
-        1 => Ccs::from_raw(rows, cols, pointer, indices, values)
-            .map(LocalCompressed::Ccs)
-            .map_err(|source| CkptError::Invalid { rank, source }),
-        k => Err(corrupt(&format!("unknown kind {k}"))),
-    }
+    let kind = usize::try_from(kind)
+        .ok()
+        .and_then(|k| KINDS.get(k))
+        .ok_or_else(|| corrupt(&format!("unknown kind {kind}")))?;
+    LocalCompressed::from_raw(*kind, rows, cols, pointer, indices, values)
+        .map_err(|source| CkptError::Invalid { rank, source })
 }
 
 /// Save a distributed array's local parts into `dir` (created if absent).
@@ -236,7 +224,6 @@ pub fn load(dir: impl AsRef<Path>) -> Result<Vec<LocalCompressed>, CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsedist_core::compress::CompressKind;
     use sparsedist_core::dense::paper_array_a;
     use sparsedist_core::partition::{Partition, RowBlock};
     use sparsedist_core::schemes::{run_scheme, SchemeKind};
@@ -342,6 +329,21 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let err = load(&dir).unwrap_err();
         assert!(matches!(err, CkptError::Invalid { rank: 0, .. }), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_kind_word_is_corrupt() {
+        let dir = tmpdir("kind");
+        save(&dir, &sample_locals(CompressKind::Ccs)).unwrap();
+        let path = dir.join("rank_3.sdc");
+        let mut bytes = fs::read(&path).unwrap();
+        // The kind word follows magic and version.
+        bytes[16..24].copy_from_slice(&7u64.to_le_bytes());
+        refresh_crc(&mut bytes);
+        fs::write(&path, &bytes).unwrap();
+        let err = load(&dir).unwrap_err();
+        assert_eq!(err.to_string(), "rank 3 file corrupt: unknown kind 7");
         fs::remove_dir_all(&dir).ok();
     }
 

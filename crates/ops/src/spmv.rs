@@ -1,6 +1,6 @@
 //! Sparse matrix–vector products, local and distributed.
 
-use sparsedist_core::compress::{Ccs, Crs, LocalCompressed};
+use sparsedist_core::compress::{Ccs, CompressKind, Crs, LocalCompressed};
 use sparsedist_core::dense::Dense2D;
 use sparsedist_core::error::SparsedistError;
 use sparsedist_core::partition::{AxisMap, Partition};
@@ -25,7 +25,8 @@ pub fn crs_spmv(a: &Crs, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; a.rows()];
     for (r, slot) in y.iter_mut().enumerate() {
         let mut acc = 0.0;
-        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+        let (cols, vals) = a.segment(r);
+        for (&c, &v) in cols.iter().zip(vals) {
             acc += v * x[c];
         }
         *slot = acc;
@@ -50,7 +51,8 @@ pub fn ccs_spmv(a: &Ccs, x: &[f64]) -> Vec<f64> {
         if xc == 0.0 {
             continue;
         }
-        for (&r, &v) in a.col_rows(c).iter().zip(a.col_vals(c)) {
+        let (rows, vals) = a.segment(c);
+        for (&r, &v) in rows.iter().zip(vals) {
             y[r] += v * xc;
         }
     }
@@ -254,11 +256,12 @@ fn first_touch(
         }
         (entries, slot)
     };
-    match (local, rows) {
-        (LocalCompressed::Crs(a), true) => compressed(a.ro()),
-        (LocalCompressed::Ccs(a), false) => compressed(a.cp()),
-        (LocalCompressed::Crs(a), false) => scattered(a.co()),
-        (LocalCompressed::Ccs(a), true) => scattered(a.ri()),
+    // The vector runs along the segments when it is indexed by rows of a
+    // CRS array or by columns of a CCS one.
+    if rows == (local.kind() == CompressKind::Crs) {
+        compressed(local.pointer())
+    } else {
+        scattered(local.indices())
     }
 }
 
@@ -325,14 +328,6 @@ fn halos(
         lo = hi;
     }
     (halos, slots)
-}
-
-/// The values of `local` in storage order.
-fn values(local: &LocalCompressed) -> &[f64] {
-    match local {
-        LocalCompressed::Crs(a) => a.vl(),
-        LocalCompressed::Ccs(a) => a.vl(),
-    }
 }
 
 impl<'a> SpmvPlan<'a> {
@@ -519,7 +514,7 @@ fn halo_task<'e>(
         // row) sums in a register.
         let partial = env.phase(Phase::Compute, |env| {
             let mut ys = vec![0.0; rank.y.entries.len()];
-            let vals = values(local);
+            let vals = local.values();
             let products = vals.iter().zip(&rank.xslot).map(|(&v, &k)| v * xs[k]);
             let mut run = (usize::MAX, 0.0);
             for (t, &r) in products.zip(&rank.yslot) {
@@ -618,7 +613,6 @@ pub fn distributed_spmv_ledgers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsedist_core::compress::CompressKind;
     use sparsedist_core::dense::paper_array_a;
     use sparsedist_core::opcount::OpCounter;
     use sparsedist_core::partition::{ColCyclic, Mesh2D, RowBlock};

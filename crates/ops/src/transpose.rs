@@ -1,78 +1,57 @@
 //! Format conversion and transposition.
 //!
 //! A CRS array reinterpreted with rows↔columns swapped *is* the CCS form of
-//! the transpose (and vice versa), so the two conversions here double as
-//! transposition kernels. Both run in `O(nnz + dim)` with counting sort —
-//! no intermediate dense array.
+//! the transpose (and vice versa), so one re-bucketing of the nonzeros by
+//! their index serves both the conversions and transposition. It runs in
+//! `O(nnz + dim)` with a stable counting sort — no intermediate dense
+//! array.
 
-use sparsedist_core::compress::{Ccs, Crs};
+use sparsedist_core::compress::{Ccs, Compressed, Crs, SegmentAxis};
+
+/// `a`'s three arrays with segments and indices swapped: the nonzeros
+/// bucketed by index, each bucket in segment order.
+fn rebucket<M: SegmentAxis>(a: &Compressed<M>) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut pointer = vec![0usize; a.index_bound() + 1];
+    for &i in a.indices() {
+        pointer[i + 1] += 1;
+    }
+    for i in 1..pointer.len() {
+        pointer[i] += pointer[i - 1];
+    }
+    let mut indices = vec![0usize; a.nnz()];
+    let mut values = vec![0.0f64; a.nnz()];
+    let mut cursor = pointer.clone();
+    for s in 0..a.nsegments() {
+        let (idx, vals) = a.segment(s);
+        for (&i, &v) in idx.iter().zip(vals) {
+            indices[cursor[i]] = s;
+            values[cursor[i]] = v;
+            cursor[i] += 1;
+        }
+    }
+    (pointer, indices, values)
+}
 
 /// Convert CRS → CCS of the *same* array (column-major re-bucketing).
 pub fn crs_to_ccs(a: &Crs) -> Ccs {
-    let mut counts = vec![0usize; a.cols() + 1];
-    for &c in a.co() {
-        counts[c + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let cp = counts.clone();
-    let mut ri = vec![0usize; a.nnz()];
-    let mut vl = vec![0.0f64; a.nnz()];
-    let mut cursor = cp.clone();
-    for (r, c, v) in a.iter() {
-        let k = cursor[c];
-        ri[k] = r;
-        vl[k] = v;
-        cursor[c] += 1;
-    }
-    Ccs::from_raw(a.rows(), a.cols(), cp, ri, vl).expect("counting sort preserves invariants")
+    let (pointer, indices, values) = rebucket(a);
+    Ccs::from_raw(a.rows(), a.cols(), pointer, indices, values)
+        .expect("counting sort preserves invariants")
 }
 
 /// Convert CCS → CRS of the same array.
 pub fn ccs_to_crs(a: &Ccs) -> Crs {
-    let mut counts = vec![0usize; a.rows() + 1];
-    for &r in a.ri() {
-        counts[r + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let ro = counts.clone();
-    let mut co = vec![0usize; a.nnz()];
-    let mut vl = vec![0.0f64; a.nnz()];
-    let mut cursor = ro.clone();
-    for (r, c, v) in a.iter() {
-        let k = cursor[r];
-        co[k] = c;
-        vl[k] = v;
-        cursor[r] += 1;
-    }
-    Crs::from_raw(a.rows(), a.cols(), ro, co, vl).expect("counting sort preserves invariants")
+    let (pointer, indices, values) = rebucket(a);
+    Crs::from_raw(a.rows(), a.cols(), pointer, indices, values)
+        .expect("counting sort preserves invariants")
 }
 
-/// Transpose a CRS array (returns CRS of `Aᵀ`).
+/// Transpose a CRS array (returns CRS of `Aᵀ`): CRS(A) re-bucketed by
+/// column is CRS(Aᵀ) once the dimensions are flipped.
 pub fn transpose(a: &Crs) -> Crs {
-    // CRS(A) has the same payload as CCS(Aᵀ) with the roles of the arrays
-    // swapped; re-bucket by column and flip the dimensions.
-    let mut counts = vec![0usize; a.cols() + 1];
-    for &c in a.co() {
-        counts[c + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let ro = counts.clone();
-    let mut co = vec![0usize; a.nnz()];
-    let mut vl = vec![0.0f64; a.nnz()];
-    let mut cursor = ro.clone();
-    for (r, c, v) in a.iter() {
-        let k = cursor[c];
-        co[k] = r;
-        vl[k] = v;
-        cursor[c] += 1;
-    }
-    Crs::from_raw(a.cols(), a.rows(), ro, co, vl).expect("counting sort preserves invariants")
+    let (pointer, indices, values) = rebucket(a);
+    Crs::from_raw(a.cols(), a.rows(), pointer, indices, values)
+        .expect("counting sort preserves invariants")
 }
 
 #[cfg(test)]

@@ -47,33 +47,27 @@ fn main() {
     for pid in 0..4 {
         let local = part.extract_dense(&a, pid);
         let crs = Crs::from_dense(&local, &mut OpCounter::new());
-        println!(
-            "  P{pid}: RO {:?}  CO {:?}  VL {:?}",
-            crs.ro_paper(),
-            crs.co_paper(),
-            crs.vl()
-        );
+        let (ro, co) = crs.paper();
+        println!("  P{pid}: RO {ro:?}  CO {co:?}  VL {:?}", crs.vl());
     }
 
     println!("\nFigure 5: CFS with row partition + CCS (global indices at the source)");
     for pid in 0..4 {
         let ccs = Ccs::from_part_global(&a, &part, pid, &mut OpCounter::new());
+        let (ro, co) = ccs.paper();
         println!(
-            "  P{pid} packed: RO {:?}  CO {:?} (global rows)  VL {:?}",
-            ccs.cp_paper(),
-            ccs.ri_paper(),
-            ccs.vl()
+            "  P{pid} packed: RO {ro:?}  CO {co:?} (global rows)  VL {:?}",
+            ccs.values()
         );
     }
     println!("  After unpacking, P1 subtracts 3 from each CO value (Case 3.2.2):");
     let machine = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
     let run = run_scheme(SchemeKind::Cfs, &machine, &a, &part, CompressKind::Ccs).unwrap();
     let p1 = run.locals[1].as_ccs();
+    let (ro, co) = p1.paper();
     println!(
-        "  P1 local:  RO {:?}  CO {:?} (local rows)   VL {:?}",
-        p1.cp_paper(),
-        p1.ri_paper(),
-        p1.vl()
+        "  P1 local:  RO {ro:?}  CO {co:?} (local rows)   VL {:?}",
+        p1.values()
     );
 
     println!("\nFigure 6/7: ED special buffers B (row partition, CCS format)");
@@ -96,12 +90,8 @@ fn main() {
     println!("\nFigure 7(d): P1 decodes its buffer (Case 3.3.2, subtract 3)");
     let run = run_scheme(SchemeKind::Ed, &machine, &a, &part, CompressKind::Ccs).unwrap();
     let p1 = run.locals[1].as_ccs();
-    println!(
-        "  P1: RO {:?}  CO {:?}  VL {:?}",
-        p1.cp_paper(),
-        p1.ri_paper(),
-        p1.vl()
-    );
+    let (ro, co) = p1.paper();
+    println!("  P1: RO {ro:?}  CO {co:?}  VL {:?}", p1.values());
 
     // Sanity: every scheme reconstructs A exactly.
     for scheme in SchemeKind::ALL {

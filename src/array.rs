@@ -173,14 +173,13 @@ impl<'m> DistributedSparseArray<'m> {
     }
 
     /// Elementwise add another array distributed under the same partition
-    /// (CRS only).
+    /// in the same format.
     ///
     /// # Panics
     /// Panics if shapes/kinds/partitions disagree.
     pub fn add_assign(&mut self, other: &DistributedSparseArray<'_>) {
         assert_eq!(self.shape(), other.shape(), "global shapes differ");
-        assert_eq!(self.kind, CompressKind::Crs, "add_assign needs CRS locals");
-        assert_eq!(other.kind, CompressKind::Crs, "add_assign needs CRS locals");
+        assert_eq!(self.kind, other.kind, "compression kinds differ");
         for pid in 0..self.locals.len() {
             assert_eq!(
                 self.partition.local_shape(pid),
@@ -350,6 +349,32 @@ mod tests {
         for (r, c, v) in paper_array_a().iter_nonzero() {
             assert_eq!(d.get(r, c), 2.0 * v);
         }
+    }
+
+    #[test]
+    fn add_assign_on_ccs_equals_dense_sum() {
+        let m = machine();
+        let x = paper_array_a();
+        let mut y = Dense2D::zeros(10, 8);
+        y.set(0, 1, -1.0); // cancels x's 1.0
+        y.set(4, 4, 2.5);
+        y.set(9, 6, 0.5);
+        let ccs = |a: &Dense2D| {
+            let mesh = Box::new(Mesh2D::new(10, 8, 2, 2));
+            DistributedSparseArray::distribute(&m, a, mesh, SchemeKind::Cfs, CompressKind::Ccs)
+                .unwrap()
+        };
+        let mut a = ccs(&x);
+        a.add_assign(&ccs(&y));
+        assert_eq!(a.kind(), CompressKind::Ccs);
+        let mut want = Dense2D::zeros(10, 8);
+        for r in 0..10 {
+            for c in 0..8 {
+                want.set(r, c, x.get(r, c) + y.get(r, c));
+            }
+        }
+        assert_eq!(a.gather_dense(GatherStrategy::Encoded).unwrap(), want);
+        assert_eq!(a.nnz(), 16);
     }
 
     #[test]

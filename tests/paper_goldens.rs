@@ -50,8 +50,7 @@ fn figure4_crs_of_each_processor() {
     ];
     for (pid, (ro, co, vl)) in expect.iter().enumerate() {
         let crs = run.locals[pid].as_crs();
-        assert_eq!(&crs.ro_paper(), ro, "P{pid} RO");
-        assert_eq!(&crs.co_paper(), co, "P{pid} CO");
+        assert_eq!(crs.paper(), (ro.to_vec(), co.to_vec()), "P{pid} RO, CO");
         assert_eq!(&crs.vl(), vl, "P{pid} VL");
     }
 }
@@ -64,13 +63,13 @@ fn figure5_cfs_p1_conversion() {
     let part = RowBlock::new(10, 8, 4);
     // Source-side compressed form of P1's band (global indices 4,5,6 → 1-based 5,6,4 in CCS column order).
     let global = Ccs::from_part_global(&a, &part, 1, &mut OpCounter::new());
-    assert_eq!(global.ri_paper(), vec![5, 6, 4]);
+    assert_eq!(global.paper().1, vec![5, 6, 4]);
     // After the full CFS run, P1's local CCS has local rows 2,3,1 (1-based).
     let machine = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
     let run = run_scheme(SchemeKind::Cfs, &machine, &a, &part, CompressKind::Ccs).unwrap();
     let p1 = run.locals[1].as_ccs();
-    assert_eq!(p1.ri_paper(), vec![2, 3, 1]);
-    assert_eq!(p1.vl(), &[6.0, 7.0, 5.0]);
+    assert_eq!(p1.paper().1, vec![2, 3, 1]);
+    assert_eq!(p1.values(), &[6.0, 7.0, 5.0]);
 }
 
 #[test]
@@ -82,9 +81,8 @@ fn figure7_ed_p1_decode() {
     let machine = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
     let run = run_scheme(SchemeKind::Ed, &machine, &a, &part, CompressKind::Ccs).unwrap();
     let p1 = run.locals[1].as_ccs();
-    assert_eq!(p1.cp_paper(), vec![1, 1, 1, 1, 2, 3, 4, 4, 4]);
-    assert_eq!(p1.ri_paper(), vec![2, 3, 1]);
-    assert_eq!(p1.vl(), &[6.0, 7.0, 5.0]);
+    assert_eq!(p1.paper(), (vec![1, 1, 1, 1, 2, 3, 4, 4, 4], vec![2, 3, 1]));
+    assert_eq!(p1.values(), &[6.0, 7.0, 5.0]);
 }
 
 /// The paper's §5 observations, regenerated at a reduced grid. Shape, not

@@ -61,16 +61,12 @@ type Bits = (
 /// A compressed local array by its structure and value *bits*, so NaN and
 /// the sign of zero compare exactly.
 fn bits(local: &LocalCompressed) -> Bits {
-    let (pointer, indices, values) = match local {
-        LocalCompressed::Crs(m) => (m.ro(), m.co(), m.vl()),
-        LocalCompressed::Ccs(m) => (m.cp(), m.ri(), m.vl()),
-    };
     (
         local.kind(),
         local.shape(),
-        pointer.to_vec(),
-        indices.to_vec(),
-        values.iter().map(|v| v.to_bits()).collect(),
+        local.pointer().to_vec(),
+        local.indices().to_vec(),
+        local.values().iter().map(|v| v.to_bits()).collect(),
     )
 }
 
