@@ -307,67 +307,6 @@ impl fmt::Display for PhaseLedger {
     }
 }
 
-/// Render a fleet of per-rank ledgers as a proportional text timeline —
-/// one bar per rank, one letter per phase, scaled so the busiest rank
-/// spans `width` characters. Phases are keyed by [`Phase::timeline_char`],
-/// mostly the first letter of
-/// their label (send = `s`, compress = `c`, …; `wait` renders as `.`).
-///
-/// ```text
-/// P0 |cccccccccccppppssss      | 12.402ms
-/// P1 |....uu                   |  3.101ms
-/// ```
-pub fn render_timeline(ledgers: &[PhaseLedger], width: usize) -> String {
-    let width = width.max(10);
-    let max_total = ledgers
-        .iter()
-        .map(|l| l.busy_total() + l.get(Phase::Wait))
-        .fold(VirtualTime::ZERO, VirtualTime::max);
-    let scale = if max_total.as_micros() > 0.0 {
-        width as f64 / max_total.as_micros()
-    } else {
-        0.0
-    };
-    // Pad the tx= column to the widest byte/element counts in the fleet,
-    // so rows stay aligned even when one rank shipped gigabytes and the
-    // rest sent a handful of elements.
-    let bytes_w = ledgers
-        .iter()
-        .map(|l| l.wire().bytes.to_string().len())
-        .max()
-        .unwrap_or(1);
-    let elems_w = ledgers
-        .iter()
-        .map(|l| l.wire().elements.to_string().len())
-        .max()
-        .unwrap_or(1);
-    let mut out = String::new();
-    for (rank, l) in ledgers.iter().enumerate() {
-        let mut bar = String::new();
-        for p in Phase::ALL {
-            let span = l.get(p).as_micros();
-            // lint: allow(W002) — scale maps the longest ledger to width; small, non-negative
-            let chars = (span * scale).round() as usize;
-            let ch = p.timeline_char();
-            for _ in 0..chars {
-                bar.push(ch);
-            }
-        }
-        bar.truncate(width);
-        let total = l.busy_total() + l.get(Phase::Wait);
-        let wire = l.wire();
-        if wire.is_zero() {
-            out.push_str(&format!("P{rank:<3}|{bar:<width$}| {total}\n"));
-        } else {
-            out.push_str(&format!(
-                "P{rank:<3}|{bar:<width$}| {total} tx={:>bytes_w$}B/{:>elems_w$}el\n",
-                wire.bytes, wire.elements
-            ));
-        }
-    }
-    out
-}
-
 /// Render the fault/recovery section of a fleet of per-rank ledgers: one
 /// line per rank that saw faults or ran recovery, plus a totals line.
 /// Returns an empty string when every ledger is quiet (no faults, no
@@ -502,29 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_scales_to_busiest_rank() {
-        let mut a = PhaseLedger::new();
-        a.record(Phase::Compress, us(100.0));
-        let mut b = PhaseLedger::new();
-        b.record(Phase::Wait, us(25.0));
-        b.record(Phase::Unpack, us(25.0));
-        let s = render_timeline(&[a, b], 40);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let bar = |line: &str| -> String {
-            line.split('|')
-                .nth(1)
-                .expect("bar between pipes")
-                .to_string()
-        };
-        // Rank 0 fills the width with 'c'; rank 1 is half as long,
-        // half 'u' and half wait-dots.
-        assert_eq!(bar(lines[0]).matches('c').count(), 40, "{s}");
-        assert_eq!(bar(lines[1]).matches('.').count(), 10, "{s}");
-        assert_eq!(bar(lines[1]).matches('u').count(), 10, "{s}");
-    }
-
-    #[test]
     fn wire_stats_merge_and_derive() {
         let mut a = PhaseLedger::new();
         *a.wire_mut() += WireStats {
@@ -550,56 +466,6 @@ mod tests {
         assert_eq!(c.wire().bytes_per_element(), Some(6.25));
         assert!(PhaseLedger::new().wire().is_zero());
         assert_eq!(WireStats::default().bytes_per_element(), None);
-    }
-
-    #[test]
-    fn timeline_appends_wire_column_after_the_bars() {
-        let mut l = PhaseLedger::new();
-        l.record(Phase::Send, us(10.0));
-        *l.wire_mut() += WireStats {
-            messages: 1,
-            elements: 5,
-            bytes: 17,
-        };
-        let s = render_timeline(&[l], 20);
-        let line = s.lines().next().unwrap();
-        // The bar stays between the pipes; the wire column rides after.
-        assert_eq!(line.split('|').count(), 3, "{s}");
-        assert!(line.ends_with("tx=17B/5el"), "{s}");
-    }
-
-    #[test]
-    fn timeline_wire_columns_align_across_disparate_ranks() {
-        // One rank shipped >1 GiB, the other a few bytes: the tx= column
-        // must pad to the widest counts so the rows line up.
-        let mut big = PhaseLedger::new();
-        big.record(Phase::Send, us(10.0));
-        *big.wire_mut() += WireStats {
-            messages: 1,
-            elements: 200_000_000,
-            bytes: 1_600_000_000,
-        };
-        let mut small = PhaseLedger::new();
-        small.record(Phase::Send, us(1.0));
-        *small.wire_mut() += WireStats {
-            messages: 1,
-            elements: 5,
-            bytes: 17,
-        };
-        let s = render_timeline(&[big, small], 20);
-        let lines: Vec<&str> = s.lines().collect();
-        let tx_at = |l: &str| l.find("tx=").expect("wire column present");
-        assert_eq!(tx_at(lines[0]), tx_at(lines[1]), "{s}");
-        assert_eq!(lines[0].len(), lines[1].len(), "{s}");
-        assert!(lines[0].ends_with("tx=1600000000B/200000000el"), "{s}");
-        assert!(lines[1].ends_with("tx=        17B/        5el"), "{s}");
-    }
-
-    #[test]
-    fn timeline_of_empty_ledgers_is_blank_bars() {
-        let s = render_timeline(&[PhaseLedger::new(), PhaseLedger::new()], 20);
-        assert_eq!(s.lines().count(), 2);
-        assert!(!s.contains('c'));
     }
 
     #[test]

@@ -553,11 +553,11 @@ pub fn metrics_json(traces: &[RankTrace]) -> String {
     out
 }
 
-/// Render a per-rank phase waterfall on the **absolute** virtual-time axis
-/// (unlike [`crate::timing::render_timeline`], which concatenates phase
-/// totals): each rank's row places its spans where they actually happened,
-/// keyed by [`Phase::timeline_char`], so cross-rank causality — who waited
-/// for whom — is visible at a glance.
+/// Render a per-rank phase waterfall on the **absolute** virtual-time axis:
+/// each rank's row places its spans where they actually happened, keyed by
+/// [`Phase::timeline_char`], so cross-rank causality — who waited for
+/// whom — is visible at a glance. [`render_phase_table`] carries the
+/// per-phase totals and wire counts behind it.
 pub fn render_waterfall(traces: &[RankTrace], width: usize) -> String {
     let width = width.max(10);
     let makespan = traces
