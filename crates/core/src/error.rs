@@ -51,6 +51,17 @@ pub enum SparsedistError {
     /// A partition constructor's `try_new` got a zero extent: an empty
     /// array, no processors, or a zero grid or block side.
     Partition(PartitionError),
+    /// Local arrays adopted into a distributed array (from a checkpoint,
+    /// say) do not fit its machine or partition.
+    LocalsMismatch {
+        /// What disagrees, e.g. `"local 0 shape"`.
+        what: String,
+        /// What the machine and partition call for and what the local
+        /// arrays hold, e.g. `"expected 23x70, found 90x18"`. Boxed, so
+        /// the variant stays smaller than `Io` and does not grow every
+        /// `Result` the scheme drivers return.
+        detail: Box<str>,
+    },
     /// A host filesystem operation failed (trace export, ledger dumps).
     /// Carries the path and the rendered `io::Error` — `std::io::Error` is
     /// neither `Clone` nor `PartialEq`, which this enum requires.
@@ -92,6 +103,9 @@ impl fmt::Display for SparsedistError {
                 )
             }
             SparsedistError::Partition(e) => write!(f, "{e}"),
+            SparsedistError::LocalsMismatch { what, detail } => {
+                write!(f, "{what} mismatch: {detail}")
+            }
             SparsedistError::Io { path, message } => {
                 write!(f, "{path}: {message}")
             }
@@ -110,6 +124,7 @@ impl std::error::Error for SparsedistError {
             SparsedistError::NoSurvivors { .. } => None,
             SparsedistError::MachineTooLarge { .. } => None,
             SparsedistError::Partition(e) => Some(e),
+            SparsedistError::LocalsMismatch { .. } => None,
             SparsedistError::Io { .. } => None,
         }
     }

@@ -18,6 +18,7 @@
 //! the structural validators cannot (e.g. a corrupted `f64` value).
 
 use sparsedist_core::compress::{CompressError, CompressKind, LocalCompressed};
+use sparsedist_core::error::SparsedistError;
 use sparsedist_multicomputer::pack::crc32;
 use sparsedist_multicomputer::PackBuffer;
 use std::fmt;
@@ -48,6 +49,9 @@ pub enum CkptError {
         /// The structural violation.
         source: CompressError,
     },
+    /// The loaded local arrays do not fit the partition they are resumed
+    /// under (another partition, rank count or array shape).
+    Layout(SparsedistError),
 }
 
 impl fmt::Display for CkptError {
@@ -59,6 +63,7 @@ impl fmt::Display for CkptError {
             CkptError::Invalid { rank, source } => {
                 write!(f, "rank {rank} array invalid: {source}")
             }
+            CkptError::Layout(e) => write!(f, "checkpoint does not fit the partition: {e}"),
         }
     }
 }

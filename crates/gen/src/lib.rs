@@ -23,4 +23,4 @@ pub mod matrixmarket;
 pub mod patterns;
 pub mod random;
 
-pub use random::{RatioMode, SparseRandom};
+pub use random::{GenError, RatioMode, SparseRandom};

@@ -4,6 +4,33 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sparsedist_core::dense::Dense2D;
 use std::collections::HashSet;
+use std::fmt;
+
+/// A generator parameter out of range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GenError {
+    /// A zero row or column count.
+    EmptyArray,
+    /// A sparse ratio outside `[0, 1]`, or NaN.
+    BadRatio(f64),
+}
+
+impl fmt::Display for GenError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GenError::EmptyArray => write!(f, "array dimensions must be positive"),
+            GenError::BadRatio(s) => write!(f, "sparse ratio must be in [0,1], got {s}"),
+        }
+    }
+}
+
+impl std::error::Error for GenError {}
+
+/// What a panicking setter makes of its fallible form: the value, or a
+/// panic with the check's message.
+fn or_panic<T>(checked: Result<T, GenError>) -> T {
+    checked.unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// How the requested sparse ratio is realised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,29 +66,47 @@ pub struct SparseRandom {
 impl SparseRandom {
     /// A generator for `rows × cols` arrays (default: `s = 0.1`, exact
     /// mode, seed 0, values in `[1, 2)`).
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero; [`SparseRandom::try_new`]
+    /// returns the error instead.
     pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be positive");
-        SparseRandom {
+        or_panic(Self::try_new(rows, cols))
+    }
+
+    /// [`SparseRandom::new`], or [`GenError::EmptyArray`] if either
+    /// dimension is zero.
+    pub fn try_new(rows: usize, cols: usize) -> Result<Self, GenError> {
+        if rows == 0 || cols == 0 {
+            return Err(GenError::EmptyArray);
+        }
+        Ok(SparseRandom {
             rows,
             cols,
             s: 0.1,
             seed: 0,
             mode: RatioMode::Exact,
             value_range: (1.0, 2.0),
-        }
+        })
     }
 
     /// Target sparse ratio in `[0, 1]`.
     ///
     /// # Panics
-    /// Panics if `s` is outside `[0, 1]`.
-    pub fn sparse_ratio(mut self, s: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&s),
-            "sparse ratio must be in [0,1], got {s}"
-        );
+    /// Panics if `s` is outside `[0, 1]` or NaN;
+    /// [`SparseRandom::try_sparse_ratio`] returns the error instead.
+    pub fn sparse_ratio(self, s: f64) -> Self {
+        or_panic(self.try_sparse_ratio(s))
+    }
+
+    /// [`SparseRandom::sparse_ratio`], or [`GenError::BadRatio`] if `s` is
+    /// outside `[0, 1]` or NaN.
+    pub fn try_sparse_ratio(mut self, s: f64) -> Result<Self, GenError> {
+        if !(0.0..=1.0).contains(&s) {
+            return Err(GenError::BadRatio(s));
+        }
         self.s = s;
-        self
+        Ok(self)
     }
 
     /// RNG seed (same seed → same array).
@@ -197,5 +242,22 @@ mod tests {
     #[should_panic(expected = "sparse ratio")]
     fn bad_ratio_rejected() {
         let _ = SparseRandom::new(4, 4).sparse_ratio(1.5);
+    }
+
+    #[test]
+    fn fallible_forms_return_the_panic_messages() {
+        let err = SparseRandom::try_new(0, 4).unwrap_err();
+        assert_eq!(err, GenError::EmptyArray);
+        assert_eq!(err.to_string(), "array dimensions must be positive");
+        assert!(SparseRandom::try_new(4, 0).is_err());
+        let gen = SparseRandom::try_new(4, 4).unwrap();
+        for s in [1.5, -0.1, f64::NAN] {
+            let err = gen.clone().try_sparse_ratio(s).unwrap_err();
+            assert!(err
+                .to_string()
+                .starts_with("sparse ratio must be in [0,1], got"));
+        }
+        let a = gen.try_sparse_ratio(0.25).unwrap().generate();
+        assert_eq!(a, SparseRandom::new(4, 4).sparse_ratio(0.25).generate());
     }
 }

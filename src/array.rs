@@ -81,35 +81,72 @@ impl<'m> DistributedSparseArray<'m> {
     /// Adopt already-distributed local arrays (e.g. from a checkpoint).
     ///
     /// # Panics
-    /// Panics if the shapes of `locals` disagree with the partition.
+    /// Panics if `locals` disagree with the machine or the partition;
+    /// [`DistributedSparseArray::try_from_locals`] returns the error
+    /// instead.
     pub fn from_locals(
         machine: &'m Multicomputer,
         partition: Box<dyn Partition>,
         kind: CompressKind,
         locals: Vec<LocalCompressed>,
     ) -> Self {
-        assert_eq!(
-            machine.nprocs(),
-            partition.nparts(),
-            "machine/partition size mismatch"
-        );
-        assert_eq!(locals.len(), partition.nparts(), "one local array per part");
-        for (pid, l) in locals.iter().enumerate() {
-            assert_eq!(l.kind(), kind, "local {pid} kind mismatch");
-            assert_eq!(
-                l.shape(),
-                partition.local_shape(pid),
-                "local {pid} shape mismatch"
+        Self::try_from_locals(machine, partition, kind, locals).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Adopt already-distributed local arrays, or
+    /// [`SparsedistError::LocalsMismatch`] naming the first disagreement:
+    /// the machine size, the number of locals, a local's kind or its shape.
+    pub fn try_from_locals(
+        machine: &'m Multicomputer,
+        partition: Box<dyn Partition>,
+        kind: CompressKind,
+        locals: Vec<LocalCompressed>,
+    ) -> Result<Self, SparsedistError> {
+        let mismatch = |what: String, expected: String, found: String| {
+            Err(SparsedistError::LocalsMismatch {
+                what,
+                detail: format!("expected {expected}, found {found}").into(),
+            })
+        };
+        let parts = partition.nparts();
+        if machine.nprocs() != parts {
+            return mismatch(
+                "machine size".into(),
+                format!("{parts} ranks, one per part"),
+                format!("{} ranks", machine.nprocs()),
             );
         }
-        let p = locals.len();
-        DistributedSparseArray {
+        if locals.len() != parts {
+            return mismatch(
+                "local array count".into(),
+                format!("{parts}, one per part"),
+                locals.len().to_string(),
+            );
+        }
+        for (pid, l) in locals.iter().enumerate() {
+            if l.kind() != kind {
+                return mismatch(
+                    format!("local {pid} kind"),
+                    kind.label().into(),
+                    l.kind().label().into(),
+                );
+            }
+            let ((er, ec), (fr, fc)) = (partition.local_shape(pid), l.shape());
+            if (fr, fc) != (er, ec) {
+                return mismatch(
+                    format!("local {pid} shape"),
+                    format!("{er}x{ec}"),
+                    format!("{fr}x{fc}"),
+                );
+            }
+        }
+        Ok(DistributedSparseArray {
             machine,
             partition,
             kind,
+            last_ledgers: vec![PhaseLedger::new(); locals.len()],
             locals,
-            last_ledgers: vec![PhaseLedger::new(); p],
-        }
+        })
     }
 
     /// The partition currently in force.
@@ -278,6 +315,11 @@ impl<'m> DistributedSparseArray<'m> {
 
     /// Resume from a checkpoint written by
     /// [`DistributedSparseArray::checkpoint`].
+    ///
+    /// # Errors
+    /// A [`checkpoint::CkptError`] if the files cannot be read, and
+    /// [`checkpoint::CkptError::Layout`] if they do not fit `partition`
+    /// (see [`DistributedSparseArray::try_from_locals`]).
     pub fn resume(
         machine: &'m Multicomputer,
         partition: Box<dyn Partition>,
@@ -285,7 +327,8 @@ impl<'m> DistributedSparseArray<'m> {
         dir: impl AsRef<Path>,
     ) -> Result<Self, checkpoint::CkptError> {
         let locals = checkpoint::load(dir)?;
-        Ok(Self::from_locals(machine, partition, kind, locals))
+        Self::try_from_locals(machine, partition, kind, locals)
+            .map_err(checkpoint::CkptError::Layout)
     }
 }
 
@@ -423,6 +466,43 @@ mod tests {
             Box::new(ColBlock::new(10, 8, 4)),
             CompressKind::Crs,
             a.locals().to_vec(),
+        );
+    }
+
+    #[test]
+    fn try_from_locals_names_the_first_mismatch() {
+        let m = machine();
+        let a = dist(&m);
+        let adopt = |partition: Box<dyn Partition>, kind, locals: Vec<LocalCompressed>| {
+            DistributedSparseArray::try_from_locals(&m, partition, kind, locals)
+                .err()
+                .map(|e| e.to_string())
+        };
+        let row = || Box::new(RowBlock::new(10, 8, 4));
+        assert_eq!(adopt(row(), CompressKind::Crs, a.locals().to_vec()), None);
+        assert_eq!(
+            adopt(
+                Box::new(ColBlock::new(10, 8, 4)),
+                CompressKind::Crs,
+                a.locals().to_vec()
+            ),
+            Some("local 0 shape mismatch: expected 10x2, found 3x8".into())
+        );
+        assert_eq!(
+            adopt(row(), CompressKind::Ccs, a.locals().to_vec()),
+            Some("local 0 kind mismatch: expected ccs, found crs".into())
+        );
+        assert_eq!(
+            adopt(row(), CompressKind::Crs, a.locals()[..3].to_vec()),
+            Some("local array count mismatch: expected 4, one per part, found 3".into())
+        );
+        assert_eq!(
+            adopt(
+                Box::new(RowBlock::new(10, 8, 2)),
+                CompressKind::Crs,
+                a.locals().to_vec()
+            ),
+            Some("machine size mismatch: expected 2 ranks, one per part, found 4 ranks".into())
         );
     }
 }
