@@ -4,11 +4,14 @@
 //! *which phase* pays for it — the flow is always the same stage graph:
 //!
 //! ```text
-//!   source:    encode part 0..p  ──►  send part 0..p
-//!                (per-scheme hook)      (blocking, or isend + wait_all
-//!                                        under SchemeConfig::overlap;
-//!                                        whole buffers, or bounded framed
-//!                                        chunks under chunk_elems)
+//!   source:    charge part 0..p       (staged: from the count hook, or
+//!                                       by encoding CFS/ED parts up front)
+//!              for part k in 0..p:
+//!                encode part k  ──►  send part k  ──►  await send budget
+//!                (per-scheme hook)   (blocking, or isend + one final
+//!                                     wait_all under SchemeConfig::overlap;
+//!                                     whole buffers, or bounded framed
+//!                                     chunks under chunk_elems)
 //!   receiver:  recv part(s)  ──►  decode to the local array (hook;
 //!                                  SFC compresses here, its ops charged
 //!                                  to the finish phase) ──► drop payload
@@ -16,8 +19,11 @@
 //!
 //! [`SchemeStages`] captures the per-scheme hooks; [`run_pipeline`]
 //! composes them with owner maps, wire-format negotiation, per-part op
-//! attribution ([`map_parts_counted`]) and the fault-aware retry layer
-//! underneath `send`/`recv`. The scheme modules (`sfc.rs`, `cfs.rs`,
+//! attribution ([`charge_staged`]) and the fault-aware retry layer
+//! underneath `send`/`recv`. The send budget parks the source while its
+//! undelivered bytes exceed [`sparsedist_multicomputer::SEND_BUDGET`],
+//! so SFC's source holds one dense part in flight, not p; it charges
+//! nothing. The scheme modules (`sfc.rs`, `cfs.rs`,
 //! `ed.rs`) shrink to their hooks plus a phase-charging policy.
 //!
 //! There are two drivers. The plain one sends bare part buffers to a
@@ -77,6 +83,16 @@ pub(crate) trait SchemeStages {
     /// Arena checkout size for part `pid`'s wire buffer.
     fn buf_capacity(&self, pid: usize) -> usize;
 
+    /// Part `pid`'s source-side counts without encoding it: the encode
+    /// ops and the payload's element count that
+    /// [`SchemeStages::encode_part`] would produce. A scheme that knows
+    /// them by arithmetic lets the staged source charge every part first
+    /// and encode each one only at its send. `None` (the default) makes
+    /// the staged source encode the part up front to count it.
+    fn source_counts(&self, _pid: usize) -> Option<(u64, u64)> {
+        None
+    }
+
     /// Produce part `pid`'s wire buffer, counting source-side ops.
     fn encode_part(
         &self,
@@ -131,6 +147,19 @@ fn charge_source(
     }
 }
 
+/// Check out part `pid`'s buffer and encode it, counting its ops into
+/// `ops` without charging them.
+fn encode<S: SchemeStages>(
+    env: &Env,
+    stages: &S,
+    pid: usize,
+    ops: &mut OpCounter,
+) -> Result<PackBuffer, SparsedistError> {
+    let mut buf = env.arena().checkout(stages.buf_capacity(pid));
+    stages.encode_part(&mut buf, pid, ops)?;
+    Ok(buf)
+}
+
 /// Encode part `pid` and charge it on its own: the per-part encode step
 /// of the overlapped source and of the routed driver's first delivery.
 fn encode_charged<S: SchemeStages>(
@@ -139,8 +168,7 @@ fn encode_charged<S: SchemeStages>(
     pid: usize,
 ) -> Result<PackBuffer, SparsedistError> {
     let mut ops = OpCounter::new();
-    let mut buf = env.arena().checkout(stages.buf_capacity(pid));
-    stages.encode_part(&mut buf, pid, &mut ops)?;
+    let buf = encode(env, stages, pid, &mut ops)?;
     let packed = buf.elem_count();
     charge_source(
         env,
@@ -253,78 +281,113 @@ async fn recv_part(
     Ok(out)
 }
 
-/// Map part ids `0..nparts` through `f` in part order, additionally
-/// returning each part's own op count (`counts[pid]`).
-///
-/// Each part counts its ops into a private [`OpCounter`]; the caller
-/// charges their sum exactly once, and the per-part counts feed the
-/// tracing layer's sub-span attribution.
-fn map_parts_counted<T>(
+/// Staged source, step one: charge every part's encode in part order, as
+/// one total per phase with one trace sub-span per part (the seed's f64
+/// sums and spans). A part whose scheme has a count hook is charged from
+/// it and encoded only at its send (`None`); the others are encoded here,
+/// since only their encode can count them.
+fn charge_staged<S: SchemeStages>(
+    env: &mut Env,
+    stages: &S,
     nparts: usize,
-    mut f: impl FnMut(usize, &mut OpCounter) -> T,
-) -> (Vec<T>, Vec<u64>) {
-    let mut out = Vec::with_capacity(nparts);
-    let mut counts = Vec::with_capacity(nparts);
+) -> Result<Vec<Option<PackBuffer>>, SparsedistError> {
+    let mut bufs = Vec::with_capacity(nparts);
+    let mut ops = Vec::with_capacity(nparts);
+    let mut packed = Vec::with_capacity(nparts);
     for pid in 0..nparts {
-        let mut ops = OpCounter::new();
-        out.push(f(pid, &mut ops));
-        counts.push(ops.get());
+        let (n, elems, buf) = match stages.source_counts(pid) {
+            Some((n, elems)) => (n, elems, None),
+            None => {
+                let mut counter = OpCounter::new();
+                let buf = encode(env, stages, pid, &mut counter)?;
+                (counter.take(), buf.elem_count(), Some(buf))
+            }
+        };
+        ops.push((pid, n));
+        packed.push((pid, elems));
+        bufs.push(buf);
     }
-    (out, counts)
-}
-
-/// Source side, staged (the seed flow): encode *all* parts, then send them
-/// in part order.
-fn source_staged<S: SchemeStages>(
-    env: &mut Env,
-    stages: &S,
-    owners: &[usize],
-    config: SchemeConfig,
-) -> Result<(), SparsedistError> {
-    let (bufs, counts) = {
-        let arena = env.arena();
-        map_parts_counted(owners.len(), |pid, ops| {
-            let mut buf = arena.checkout(stages.buf_capacity(pid));
-            stages.encode_part(&mut buf, pid, ops).map(|()| buf)
-        })
-    };
-    let bufs = bufs.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let ops: Vec<(usize, u64)> = counts.into_iter().enumerate().collect();
-    let packed: Vec<(usize, u64)> = bufs
-        .iter()
-        .map(PackBuffer::elem_count)
-        .enumerate()
-        .collect();
     charge_source(env, stages.source_policy(), &ops, &packed);
-    env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
-        for (pid, buf) in bufs.into_iter().enumerate() {
-            send_part(env, owners[pid], buf, config.chunk_elems, false)?;
-        }
-        Ok(())
-    })
+    Ok(bufs)
 }
 
-/// Source side, overlapped: each part is sent (nonblocking) as soon as it
-/// is encoded, so encode of part `i+1` overlaps the transfer of part `i`
-/// on the NIC; one final `wait_all` (charged to [`Phase::Send`]) drains
-/// the link. Encode/compress/pack carry the same *op totals* as the staged
-/// path (charged per part here rather than as one fused sum, so the f64
-/// phase totals agree to rounding dust), while the `Send` total shrinks to
-/// the part of the wire time the CPU could not hide.
-fn source_overlapped<S: SchemeStages>(
+/// Part `pid`'s wire buffer for the send loop: taken from `staged` when
+/// the staged source encoded it up front, encoded now (already charged
+/// from the count hook) when it has a hook, or encoded and charged now on
+/// the overlapped source.
+fn next_buf<S: SchemeStages>(
+    env: &mut Env,
+    stages: &S,
+    pid: usize,
+    staged: &mut Option<Vec<Option<PackBuffer>>>,
+) -> Result<PackBuffer, SparsedistError> {
+    let Some(bufs) = staged else {
+        return encode_charged(env, stages, pid);
+    };
+    if let Some(buf) = bufs[pid].take() {
+        return Ok(buf);
+    }
+    let mut ops = OpCounter::new();
+    let buf = encode(env, stages, pid, &mut ops)?;
+    debug_assert_eq!(
+        stages.source_counts(pid),
+        Some((ops.take(), buf.elem_count())),
+        "part {pid}: the count hook disagrees with the encode it charged for"
+    );
+    Ok(buf)
+}
+
+/// The source side: one send loop over the parts in part order.
+///
+/// * Staged (the seed flow): [`charge_staged`] first charges every part,
+///   then all sends run in one [`Phase::Send`] span. A scheme with a count
+///   hook (SFC) encodes each part just before its send.
+/// * Overlapped: each part is encoded, charged and sent (nonblocking) in
+///   turn, so the encode of part `i+1` overlaps the transfer of part `i`
+///   on the NIC; one final `wait_all` (charged to [`Phase::Send`]) drains
+///   the link. Encode/compress/pack carry the same *op totals* as the
+///   staged path (charged per part here rather than as one fused sum, so
+///   the f64 phase totals agree to rounding dust), while the `Send` total
+///   shrinks to the part of the wire time the CPU could not hide.
+///
+/// After each part the source awaits its send budget, so it never runs
+/// more than [`sparsedist_multicomputer::SEND_BUDGET`] bytes ahead of its
+/// receivers: SFC's dense payloads are not all alive at once. The wait
+/// charges nothing, so the ledgers are those of a source that never waits.
+async fn source_send<S: SchemeStages>(
     env: &mut Env,
     stages: &S,
     owners: &[usize],
     config: SchemeConfig,
 ) -> Result<(), SparsedistError> {
+    let mut staged = if config.overlap {
+        None
+    } else {
+        Some(charge_staged(env, stages, owners.len())?)
+    };
+    // Staged, every send sits in one Send span; overlapped, each its own.
+    let send_span = staged.is_some().then(|| env.begin_phase(Phase::Send));
+    let mut sent = Ok(());
     for (pid, &owner) in owners.iter().enumerate() {
-        let buf = encode_charged(env, stages, pid)?;
-        env.phase(Phase::Send, |env| {
-            send_part(env, owner, buf, config.chunk_elems, true)
-        })?;
+        sent = next_buf(env, stages, pid, &mut staged).and_then(|buf| {
+            let send =
+                |env: &mut Env| send_part(env, owner, buf, config.chunk_elems, config.overlap);
+            Ok(match send_span {
+                Some(_) => send(env),
+                None => env.phase(Phase::Send, send),
+            }?)
+        });
+        if sent.is_err() {
+            break;
+        }
+        env.send_budget().await;
     }
-    env.phase(Phase::Send, |env| env.wait_all());
-    Ok(())
+    match send_span {
+        Some(prev) => env.end_phase(prev),
+        None if sent.is_ok() => env.phase(Phase::Send, |env| env.wait_all()),
+        None => {}
+    }
+    sent
 }
 
 /// Receiver side: receive the parts this rank owns one at a time, decode
@@ -355,7 +418,8 @@ struct PlainCtx<'a, S: SchemeStages> {
 }
 
 /// One rank of the plain pipeline as a boxed task: source encode+send
-/// (all synchronous — sends never block), then the async receive side.
+/// (sends never block; the source only waits on its send budget), then
+/// the async receive side.
 fn plain_task<'e, S: SchemeStages>(
     ctx: &'e PlainCtx<'_, S>,
     env: &'e mut Env,
@@ -367,12 +431,7 @@ fn plain_task<'e, S: SchemeStages>(
             return Ok(Vec::new());
         }
         if me == SOURCE {
-            let owners = ctx.index.owners();
-            if ctx.config.overlap {
-                source_overlapped(env, ctx.stages, owners, ctx.config)?;
-            } else {
-                source_staged(env, ctx.stages, owners, ctx.config)?;
-            }
+            source_send(env, ctx.stages, ctx.index.owners(), ctx.config).await?;
         }
         receive_parts(env, ctx.stages, ctx.index.of(me), ctx.config).await
     })

@@ -58,6 +58,17 @@ impl SchemeStages for Stages<'_> {
         }
     }
 
+    /// A dense part's counts are arithmetic: `cells` pack ops on a
+    /// partition that is not row-contiguous, and `cells` elements under
+    /// every wire format (DESIGN §6), so the source encodes each part
+    /// only when it sends it.
+    fn source_counts(&self, pid: usize) -> Option<(u64, u64)> {
+        let (lrows, lcols) = self.part.local_shape(pid);
+        let cells = (lrows * lcols) as u64;
+        let ops = if self.part.row_contiguous() { 0 } else { cells };
+        Some((ops, cells))
+    }
+
     /// Pack one part's dense local array for the wire.
     ///
     /// SFC payloads are pure value streams — no index side — so the codec
@@ -159,7 +170,10 @@ mod tests {
     use super::*;
     use crate::compress::compress_dense;
     use crate::dense::paper_array_a;
-    use crate::partition::{ColBlock, RowBlock};
+    use crate::partition::{BlockCyclic, ColBlock, ColCyclic, Mesh2D, RowBlock, RowCyclic};
+    use crate::schemes::run_scheme_with;
+    use crate::wire::CodecChoice;
+    use sparsedist_multicomputer::MachineModel;
 
     fn stages<'a>(global: &'a Dense2D, part: &'a dyn Partition) -> Stages<'a> {
         Stages {
@@ -255,5 +269,65 @@ mod tests {
                 remaining: 1
             })
         );
+    }
+
+    #[test]
+    fn the_count_hook_matches_what_encode_part_counts() {
+        // The staged source charges every part from `source_counts` and
+        // encodes it only at its send, so the hook must equal the encode's
+        // own counts on every partition shape and payload encoding, and a
+        // whole staged run, chunked or not, must charge the encode's ops.
+        let a = paper_array_a();
+        let (rows, cols) = (a.rows(), a.cols());
+        let parts: [&dyn Partition; 7] = [
+            &RowBlock::new(rows, cols, 4),
+            &RowBlock::new(rows, cols, 16),
+            &ColBlock::new(rows, cols, 3),
+            &Mesh2D::new(rows, cols, 2, 2),
+            &RowCyclic::new(rows, cols, 3),
+            &ColCyclic::new(rows, cols, 3),
+            &BlockCyclic::new(rows, cols, 2, 3, 2, 2),
+        ];
+        let model = MachineModel::ibm_sp2();
+        for part in parts {
+            for wire in [WireFormat::V1, WireFormat::V3] {
+                let s = Stages {
+                    policy: WirePolicy::new(wire, CodecChoice::Packed, model),
+                    ..stages(&a, part)
+                };
+                let mut encode_ops = 0;
+                for pid in 0..part.nparts() {
+                    let (mut buf, mut ops) = (PackBuffer::new(), OpCounter::new());
+                    s.encode_part(&mut buf, pid, &mut ops).unwrap();
+                    let counted = (ops.get(), buf.elem_count());
+                    assert_eq!(s.source_counts(pid), Some(counted), "{wire:?} part {pid}");
+                    encode_ops += ops.get();
+                }
+                for chunk_elems in [0, 3] {
+                    let config = SchemeConfig {
+                        wire,
+                        codec: CodecChoice::Packed,
+                        chunk_elems,
+                        ..SchemeConfig::default()
+                    };
+                    let machine = Multicomputer::virtual_machine(part.nparts(), model);
+                    let run = run_scheme_with(
+                        SchemeKind::Sfc,
+                        &machine,
+                        &a,
+                        part,
+                        CompressKind::Crs,
+                        config,
+                    )
+                    .unwrap();
+                    assert_eq!(run.reassemble(part), a);
+                    assert_eq!(
+                        run.ledgers[run.source].get(Phase::Pack),
+                        model.op_cost(encode_ops),
+                        "{wire:?} chunk_elems={chunk_elems}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,8 @@
 //! * **C — communication safety.** The async engine's protocol
 //!   invariants, checked syntactically via the token-tree parser
 //!   ([`crate::parse`]) and the per-function dataflow walk
-//!   ([`crate::flow`]): receives are the only yield points (C001),
+//!   ([`crate::flow`]): receives and the source's send-budget park are
+//!   the only yield points (C001),
 //!   every nonblocking post reaches a drain on all paths (C002), routed
 //!   sends carry part-id headers (C003), `Phase::Retry` is charged only
 //!   from recovery code (C004), and the transport seam never leaks out
@@ -65,7 +66,9 @@ pub enum RuleKind {
     /// doc comment.
     UnsafeFnSafetyDoc,
     /// Every `.await` must await a call to one of these functions
-    /// (C001: receive is the engine's only yield point).
+    /// (C001: receives are the engine's yield points, plus the one
+    /// send-budget park `Env::send_budget` and the pipeline's
+    /// `source_send` loop that awaits it).
     AwaitAllowlist(&'static [&'static str]),
     /// Every *trigger* call must reach a *resolver* call on all non-`?`
     /// paths to a function exit (C002: posts are drained).
@@ -252,7 +255,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "C001",
         summary: "`.await` on a non-receive call (yield-point discipline)",
-        hint: "the event-loop engine parks tasks only at receives; await recv_async/recv_part/receive_parts/routed_receive (or the engine internals), never an arbitrary future",
+        hint: "the event-loop engine parks tasks only at receives and the send budget; await recv_async/recv_part/receive_parts/routed_receive, Env::send_budget or source_send (or the engine internals), never an arbitrary future",
         kind: RuleKind::AwaitAllowlist(&[
             "recv_async",
             "frame_wait",
@@ -260,6 +263,8 @@ pub const RULES: &[Rule] = &[
             "recv_part",
             "receive_parts",
             "routed_receive",
+            "send_budget",
+            "source_send",
         ]),
         include: ALL_SRC,
         exclude: &[],

@@ -227,6 +227,17 @@ fn c001_fires_on_non_receive_awaits_only() {
 }
 
 #[test]
+fn c001_allows_the_send_budget_park_and_nothing_more() {
+    // `Env::send_budget` and the pipeline's `source_send` loop that awaits
+    // it are the only yield points besides receives; a stored future or a
+    // look-alike name is still flagged.
+    assert_eq!(
+        check("crates/core/src/schemes/pipeline.rs", "budget_c001.rs"),
+        vec![(8, "C001"), (9, "C001")]
+    );
+}
+
+#[test]
 fn c002_fires_on_undrained_posts_only() {
     assert_eq!(
         check("crates/core/src/schemes/fixture.rs", "bad_c002.rs"),

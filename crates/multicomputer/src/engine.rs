@@ -16,7 +16,8 @@
 //! # Rank programs
 //!
 //! A rank program is an `async` task started by
-//! [`Multicomputer::run_tasks`]. Its only await points are receives:
+//! [`Multicomputer::run_tasks`]. Its await points are receives and
+//! [`Env::send_budget`], a host-memory bound that never moves a clock:
 //! sends, nonblocking posts and [`Env::wait_all`] never block on a peer.
 //! [`Multicomputer::run`] wraps a synchronous closure as a task; such a
 //! closure can send and compute, but it cannot receive.
@@ -202,6 +203,12 @@ impl Frame {
             dead: None,
         }
     }
+
+    /// The payload bytes this frame holds in the fabric, what the send
+    /// budget ([`crate::exec::SEND_BUDGET`]) counts.
+    pub(crate) fn wire_bytes(&self) -> usize {
+        self.payload.byte_len()
+    }
 }
 
 /// Receiver → sender control frame of the ack/nack protocol.
@@ -383,9 +390,10 @@ impl Multicomputer {
     /// `for<'e>` closure bound forbids the *closure* from capturing
     /// borrowed per-run state (owner maps, scheme tables) — thread it
     /// through `ctx` instead, where the compiler can tie its lifetime to
-    /// each task's. Receives are the only awaited operations; the event
-    /// loop parks a task at a receive whose frame has not been pushed yet,
-    /// so tens of thousands of ranks share one OS thread.
+    /// each task's. Receives (and [`Env::send_budget`]) are the only
+    /// awaited operations; the event loop parks a task at a receive whose
+    /// frame has not been pushed yet, so tens of thousands of ranks share
+    /// one OS thread.
     pub fn run_tasks<C, F, R>(&self, ctx: &C, f: F) -> Vec<R>
     where
         C: ?Sized,
@@ -414,7 +422,7 @@ impl Multicomputer {
             // unsafe.
             tasks.push(Box::pin(async move {
                 let mut env = env;
-                // lint: allow(C001) — the executor awaits the whole rank task; its only internal yield points are still receives
+                // lint: allow(C001) — the executor awaits the whole rank task; its internal yield points are still receives and the send budget
                 let out = f(ctx, &mut env).await;
                 let (ledger, trace) = env.into_parts();
                 (out, ledger, trace)
@@ -650,7 +658,7 @@ impl Env {
     }
 
     /// Attach `(part id, ops)` pairs — merged in part order, exactly the
-    /// numbers `map_parts` produces — to the innermost open span. On close
+    /// numbers the staged source charges — to the innermost open span. On close
     /// the span subdivides into per-part child spans proportional to the
     /// counts, which reproduces the sequential execution's intervals
     /// exactly. No-op when tracing is off.
@@ -933,8 +941,20 @@ impl Env {
         }
     }
 
-    /// Receive the next message from `src`: the one await point of a rank
-    /// task. The event loop parks the task until the frame is pushed.
+    /// Park this task while its undelivered payload bytes exceed
+    /// [`crate::exec::SEND_BUDGET`]: the one await point of a rank task
+    /// besides [`Env::recv_async`], for a sender that would otherwise run
+    /// ahead of its receivers with every payload queued at once. Receivers
+    /// popping its frames wake it once it is back under the budget, and
+    /// the event loop releases it before it would declare a stall, so a
+    /// budget wait can never deadlock. It charges nothing and touches no
+    /// frame, so no ledger, trace or arrival stamp depends on it.
+    pub fn send_budget(&self) -> impl Future<Output = ()> {
+        self.fabric.budget_wait(self.rank)
+    }
+
+    /// Receive the next message from `src`: a task's await point for
+    /// data. The event loop parks the task until the frame is pushed.
     ///
     /// Synchronises the local clock with the message's arrival time; any
     /// forward jump is booked as [`Phase::Wait`].

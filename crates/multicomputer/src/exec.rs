@@ -3,14 +3,22 @@
 //!
 //! Per-rank state is O(1), so one thread drives the paper's sweeps at
 //! tens of thousands of ranks. The observation that makes this cheap:
-//! the *only* operation that ever blocks on a peer is a receive — sends
-//! charge the local clock and append to an unbounded mailbox, acks are
-//! drained opportunistically, and `wait_all` is local NIC arithmetic. A
-//! rank program is therefore an `async` function whose only suspension
-//! points are receives, and the scheduler reduces to: run a task until it
-//! needs a frame that has not been pushed yet, park it keyed by the
-//! awaited source, and wake it when that source pushes a frame (or
-//! finishes, which surfaces [`CommError::Disconnected`]).
+//! the only operation that ever *needs* a peer is a receive — sends
+//! charge the local clock and append to the destination's mailbox, acks
+//! are drained opportunistically, and `wait_all` is local NIC arithmetic.
+//! A rank program is therefore an `async` function with two suspension
+//! points, and the scheduler reduces to: run a task until it suspends,
+//! park it, and wake it when what it waits for happens.
+//!
+//! * **Receive.** A task that needs a frame that has not been pushed yet
+//!   parks keyed by the awaited source, and wakes when that source pushes
+//!   a frame (or finishes, which surfaces [`CommError::Disconnected`]).
+//! * **Send budget.** The fabric counts each sender's undelivered payload
+//!   bytes (a push adds, a pop subtracts; self-links are not counted). A
+//!   sender that awaits [`crate::Env::send_budget`] while its count
+//!   exceeds [`SEND_BUDGET`] parks until receivers drain it back under.
+//!   This bounds host memory only: the source of a scheme run holds one
+//!   payload in flight instead of p.
 //!
 //! # Determinism
 //!
@@ -20,7 +28,9 @@
 //! order, per link. The fabric preserves per-link FIFO, and arrival
 //! stamps travel inside the frames, so the ledgers do not depend on the
 //! order in which the scheduler interleaves tasks (`sparsedist simcheck`
-//! explores every such order to check this). To keep the *schedule*
+//! explores every such order to check this). A budget park is one more
+//! such interleaving: it charges nothing, reorders no link and changes
+//! no frame, so it cannot move a virtual clock. To keep the *schedule*
 //! itself reproducible too, the ready queue is FIFO, wakes happen in push
 //! order, and this module uses no wall-clock time, no entropy and no
 //! unordered collections (the `sparsedist-lint` D rules police this
@@ -28,10 +38,15 @@
 //!
 //! # Stall handling
 //!
-//! Deadlock detection is structural: when every unfinished task is
-//! parked, no frame can ever arrive again — the scheduler marks the
-//! fabric stalled and wakes everyone, so each pending receive returns
-//! [`CommError::Stalled`] instead of hanging.
+//! Deadlock detection is structural. When the ready queue empties, the
+//! scheduler first releases every budget-parked task: a budget is a
+//! memory bound, never a reason to stop. Only when no task is left to
+//! release is every unfinished task parked on a receive that can never
+//! be served. The scheduler then marks the fabric stalled and wakes
+//! everyone, so each pending receive returns [`CommError::Stalled`]
+//! instead of hanging. A task that finishes with frames still in its
+//! mailbox credits their senders, so a destination that stops reading
+//! cannot hold a sender's budget.
 
 use crate::engine::{AckMsg, CommError, Frame};
 
@@ -41,6 +56,13 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+
+/// Undelivered payload bytes above which [`crate::Env::send_budget`]
+/// parks a sender: a host-memory bound, invisible to every virtual clock.
+/// One dense SFC part of a 4096² array over 16 ranks is 8 MiB, so the
+/// source keeps one such payload in flight; payloads under 256 KiB queue
+/// up to the budget between two parks.
+pub const SEND_BUDGET: usize = 256 << 10;
 
 /// The execution engine of a [`crate::Multicomputer`]. There is one: the
 /// event loop. The type remains as the home of the machine-size cap.
@@ -87,6 +109,14 @@ struct FabricState {
     /// Entries can go stale (the task was woken by a frame push since);
     /// wakes filter through `waiting_on` before enqueueing.
     waiters: Vec<Vec<usize>>,
+    /// Payload bytes each rank has pushed to other ranks that are not yet
+    /// popped (self-links excluded).
+    undelivered: Vec<usize>,
+    /// Whether each task is parked on its send budget.
+    on_budget: Vec<bool>,
+    /// Tasks possibly parked on their send budget; entries go stale when
+    /// a pop wakes the task, and a release filters through `on_budget`.
+    budget_waiters: Vec<usize>,
     /// FIFO ready queue of runnable task ranks.
     ready: VecDeque<usize>,
     /// Guards against double-enqueueing a rank onto `ready`.
@@ -102,6 +132,9 @@ impl FabricState {
     /// frame at a time, so a new link queue starts with room for one
     /// (an all-to-all at p = 2048 keeps millions of links open at once).
     fn push_frame(&mut self, dst: usize, src: usize, frame: Frame) {
+        if src != dst {
+            self.undelivered[src] += frame.wire_bytes();
+        }
         self.frames[dst]
             .entry(src)
             .or_insert_with(|| VecDeque::with_capacity(1))
@@ -116,7 +149,45 @@ impl FabricState {
         if queue.is_empty() {
             self.frames[dst].remove(&src);
         }
+        if let Some(f) = &frame {
+            if src != dst {
+                self.credit(src, f.wire_bytes());
+            }
+        }
         frame
+    }
+
+    /// Subtract `bytes` from `src`'s undelivered count, waking `src` if it
+    /// is parked on its budget and the count is back under it.
+    fn credit(&mut self, src: usize, bytes: usize) {
+        self.undelivered[src] -= bytes;
+        if self.on_budget[src] && self.undelivered[src] <= SEND_BUDGET {
+            self.on_budget[src] = false;
+            self.enqueue(src);
+        }
+    }
+
+    /// Drop the frames left in finished rank `rank`'s mailbox, crediting
+    /// their senders: nobody can pop them any more.
+    fn discard_mailbox(&mut self, rank: usize) {
+        for (src, queue) in std::mem::take(&mut self.frames[rank]) {
+            if src != rank {
+                self.credit(src, queue.iter().map(Frame::wire_bytes).sum());
+            }
+        }
+    }
+
+    /// Wake every task parked on its send budget; false if there was none.
+    fn release_budget_waiters(&mut self) -> bool {
+        let mut released = false;
+        for w in std::mem::take(&mut self.budget_waiters) {
+            if self.on_budget[w] {
+                self.on_budget[w] = false;
+                self.enqueue(w);
+                released = true;
+            }
+        }
+        released
     }
 
     fn enqueue(&mut self, rank: usize) {
@@ -155,6 +226,9 @@ impl EventFabric {
                 done: vec![false; p],
                 waiting_on: vec![None; p],
                 waiters: (0..p).map(|_| Vec::new()).collect(),
+                undelivered: vec![0; p],
+                on_budget: vec![false; p],
+                budget_waiters: Vec::new(),
                 ready: (0..p).collect(),
                 queued: vec![true; p],
                 stalled: false,
@@ -187,6 +261,16 @@ impl EventFabric {
             rank,
             src,
             yielded: false,
+        }
+    }
+
+    /// A future that resolves once `rank`'s undelivered payload bytes are
+    /// at most [`SEND_BUDGET`], or once the scheduler releases it.
+    pub(crate) fn budget_wait(self: &Rc<Self>, rank: usize) -> BudgetWait {
+        BudgetWait {
+            fabric: Rc::clone(self),
+            rank,
+            parked: false,
         }
     }
 
@@ -246,6 +330,36 @@ impl Future for FrameWait {
         }
         st.waiting_on[this.rank] = Some(this.src);
         st.waiters[this.src].push(this.rank);
+        Poll::Pending
+    }
+}
+
+/// Future for one send-budget park (see [`EventFabric::budget_wait`]).
+pub(crate) struct BudgetWait {
+    fabric: Rc<EventFabric>,
+    rank: usize,
+    /// Whether this wait already parked: the task is polled again only
+    /// once a pop brought it under the budget or the scheduler released
+    /// it, and either way it goes on.
+    parked: bool,
+}
+
+impl Future for BudgetWait {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let mut st = this.fabric.state.borrow_mut();
+        if this.parked {
+            st.on_budget[this.rank] = false;
+            return Poll::Ready(());
+        }
+        if st.undelivered[this.rank] <= SEND_BUDGET {
+            return Poll::Ready(());
+        }
+        this.parked = true;
+        st.on_budget[this.rank] = true;
+        st.budget_waiters.push(this.rank);
         Poll::Pending
     }
 }
@@ -371,10 +485,13 @@ fn noop_waker() -> Waker {
 /// and return their outputs in rank order.
 ///
 /// The loop is deterministic: tasks are polled in FIFO ready order
-/// starting from rank 0, a parked task is woken only by a frame push on
-/// the link it awaits (or its peer finishing), and a global stall — every
-/// unfinished task parked — synthesizes wakeups so pending receives
-/// surface [`CommError::Stalled`] instead of deadlocking.
+/// starting from rank 0, a task parked on a receive is woken only by a
+/// frame push on the link it awaits (or its peer finishing), and one
+/// parked on its send budget only by a pop that brings it back under.
+/// An empty ready queue first releases every budget-parked task; only a
+/// global stall — every unfinished task parked on a receive —
+/// synthesizes wakeups so pending receives surface [`CommError::Stalled`]
+/// instead of deadlocking.
 pub(crate) fn drive<'f, T>(
     mut tasks: Vec<Pin<Box<dyn Future<Output = T> + 'f>>>,
     fabric: &Rc<EventFabric>,
@@ -389,10 +506,13 @@ pub(crate) fn drive<'f, T>(
         let rank = match next {
             Some(rank) => rank,
             None => {
+                let mut st = fabric.state.borrow_mut();
+                if st.release_budget_waiters() {
+                    continue;
+                }
                 // Every unfinished task is parked on a link that can never
                 // deliver: a protocol stall. Wake them all so the pending
                 // receives error out deterministically.
-                let mut st = fabric.state.borrow_mut();
                 st.stalled = true;
                 for r in 0..p {
                     if !st.done[r] {
@@ -409,6 +529,7 @@ pub(crate) fn drive<'f, T>(
                 remaining -= 1;
                 let mut st = fabric.state.borrow_mut();
                 st.done[rank] = true;
+                st.discard_mailbox(rank);
                 // Closing the rank's mailboxes is progress: peers blocked
                 // on it must now observe the disconnect.
                 st.stalled = false;
@@ -417,7 +538,7 @@ pub(crate) fn drive<'f, T>(
             Poll::Pending => {
                 let st = fabric.state.borrow();
                 debug_assert!(
-                    st.waiting_on[rank].is_some() || st.queued[rank],
+                    st.waiting_on[rank].is_some() || st.on_budget[rank] || st.queued[rank],
                     "task {rank} pended without parking or re-enqueueing"
                 );
             }
@@ -430,4 +551,158 @@ pub(crate) fn drive<'f, T>(
             r.expect("event loop finished with an unfinished task")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SEND_BUDGET;
+    use crate::engine::{CommError, Env};
+    use crate::{MachineModel, Multicomputer, PackBuffer};
+    use std::cell::RefCell;
+
+    type Log = RefCell<Vec<String>>;
+
+    fn machine(p: usize) -> Multicomputer {
+        Multicomputer::virtual_machine(p, MachineModel::new(10.0, 2.0, 1.0))
+    }
+
+    /// A payload one byte over the budget.
+    fn over_budget() -> PackBuffer {
+        let mut b = PackBuffer::new();
+        b.push_zeroed(SEND_BUDGET + 1, 1);
+        b
+    }
+
+    fn note(log: &Log, line: &str) {
+        log.borrow_mut().push(line.to_string());
+    }
+
+    /// Ranks 2 and 3 bounce a frame eight times, so the ready queue never
+    /// empties until they are done: a rank that resumes before
+    /// "ping-pong done" was woken by the fabric, not released by the
+    /// scheduler's last-resort release.
+    async fn ping_pong(log: &Log, env: &mut Env) -> Result<(), CommError> {
+        let peer = 5 - env.rank();
+        for round in 0..8 {
+            if (round + env.rank()) % 2 == 0 {
+                env.send(peer, PackBuffer::new())?;
+            } else {
+                env.recv_async(peer).await?;
+            }
+        }
+        if env.rank() == 2 {
+            note(log, "ping-pong done");
+        }
+        Ok(())
+    }
+
+    fn position(log: &[String], line: &str) -> usize {
+        log.iter().position(|l| l == line).unwrap()
+    }
+
+    #[test]
+    fn a_pop_under_the_budget_wakes_the_sender() {
+        let log = Log::default();
+        let outs = machine(4).run_tasks(&log, |log, env| {
+            Box::pin(async move {
+                match env.rank() {
+                    0 => {
+                        env.send(1, over_budget())?;
+                        env.send_budget().await;
+                        note(log, "0 resumed");
+                        Ok(())
+                    }
+                    1 => {
+                        env.recv_async(0).await?;
+                        note(log, "1 received");
+                        Ok(())
+                    }
+                    _ => ping_pong(log, env).await,
+                }
+            })
+        });
+        assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+        let log = log.into_inner();
+        assert!(position(&log, "1 received") < position(&log, "0 resumed"));
+        assert!(position(&log, "0 resumed") < position(&log, "ping-pong done"));
+    }
+
+    #[test]
+    fn a_destination_that_finishes_undrained_releases_its_sender() {
+        let log = Log::default();
+        let outs = machine(4).run_tasks(&log, |log, env| {
+            Box::pin(async move {
+                match env.rank() {
+                    0 => {
+                        env.send(1, over_budget())?;
+                        env.send_budget().await;
+                        note(log, "0 resumed");
+                        Ok(())
+                    }
+                    1 => {
+                        note(log, "1 finished");
+                        Ok(())
+                    }
+                    _ => ping_pong(log, env).await,
+                }
+            })
+        });
+        assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+        let log = log.into_inner();
+        assert!(position(&log, "1 finished") < position(&log, "0 resumed"));
+        assert!(position(&log, "0 resumed") < position(&log, "ping-pong done"));
+    }
+
+    /// Each rank sends the other an over-budget payload, then waits on
+    /// its budget before receiving: neither can be drained first, so only
+    /// the release before a stall lets them go on. Rank 1 then sends rank
+    /// 0 a second frame, which rank 0 awaits before it is pushed: a
+    /// scheduler that had marked the fabric stalled instead would fail
+    /// that receive.
+    async fn swap(env: &mut Env, wait: bool) -> Result<usize, CommError> {
+        let peer = 1 - env.rank();
+        env.send(peer, over_budget())?;
+        if wait {
+            env.send_budget().await;
+        }
+        let got = env.recv_async(peer).await?.payload.byte_len();
+        if env.rank() == 1 {
+            env.send(0, PackBuffer::new())?;
+            return Ok(got);
+        }
+        Ok(got + env.recv_async(1).await?.payload.byte_len())
+    }
+
+    #[test]
+    fn mutual_over_budget_sends_are_released_not_stalled() {
+        let run =
+            |wait: bool| machine(2).run_tasks_with_ledgers(&wait, |&w, env| Box::pin(swap(env, w)));
+        let (outs, ledgers) = run(true);
+        assert_eq!(outs, vec![Ok(SEND_BUDGET + 1), Ok(SEND_BUDGET + 1)]);
+        // The wait charges nothing: the ledgers are those of the run
+        // without it.
+        assert_eq!(format!("{ledgers:?}"), format!("{:?}", run(false).1));
+    }
+
+    #[test]
+    fn self_sends_never_park() {
+        let log = Log::default();
+        let outs = machine(2).run_tasks(&log, |log, env| {
+            Box::pin(async move {
+                if env.rank() == 1 {
+                    note(log, "1 ran");
+                    return Ok::<_, CommError>(0);
+                }
+                for _ in 0..2 {
+                    env.send(0, over_budget())?;
+                    env.send_budget().await;
+                }
+                note(log, "0 past its budget");
+                let first = env.recv_async(0).await?.payload.byte_len();
+                Ok(first + env.recv_async(0).await?.payload.byte_len())
+            })
+        });
+        assert_eq!(outs, vec![Ok(2 * (SEND_BUDGET + 1)), Ok(0)]);
+        assert_eq!(log.into_inner(), vec!["0 past its budget", "1 ran"]);
+    }
 }

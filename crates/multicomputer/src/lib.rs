@@ -82,7 +82,7 @@ pub mod topology;
 pub mod trace;
 
 pub use engine::{CommError, Env, Message, Multicomputer, RankTask};
-pub use exec::EngineKind;
+pub use exec::{EngineKind, SEND_BUDGET};
 pub use explore::{explore, Divergence, Exploration};
 pub use fault::{FaultKind, FaultPlan, FaultSpecError, LinkProbs, RetryPolicy};
 pub use model::MachineModel;

@@ -17,9 +17,10 @@
 //! byte-identical to an untraced run. With a sink attached the clocks are
 //! *still* identical — the spans are a pure function of the charges.
 //!
-//! Work mapped over parts (`map_parts_counted` in `sparsedist-core`)
-//! reports per-part op counts in part order, and the enclosing phase span
-//! is subdivided proportionally into one child span per part.
+//! Work charged per part (the staged source's `charge_staged` in
+//! `sparsedist-core`) reports per-part op counts in part order, and the
+//! enclosing phase span is subdivided proportionally into one child span
+//! per part.
 //!
 //! # Sinks and exporters
 //!

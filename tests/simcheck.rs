@@ -20,6 +20,7 @@ use sparsedist_core::schemes::{run_scheme, run_scheme_with, SchemeConfig, Scheme
 use sparsedist_gen::SparseRandom;
 use sparsedist_multicomputer::{
     explore, EngineKind, Exploration, FaultPlan, MachineModel, Multicomputer, RetryPolicy,
+    SEND_BUDGET,
 };
 use sparsedist_ops::spmv::{crs_spmv, distributed_spmv_ledgers};
 
@@ -219,6 +220,36 @@ fn gather_p3_is_schedule_independent() {
         assert!(
             report.baseline.starts_with("ok exact=true"),
             "{}",
+            report.baseline
+        );
+    }
+}
+
+#[test]
+fn sfc_sends_over_the_send_budget_p3_are_schedule_independent() {
+    // Every row-block part of this 6-row array is 2 rows of just over
+    // SEND_BUDGET/16 cells, so each dense SFC payload exceeds the budget
+    // and the source parks on its budget after every send to another rank.
+    // Few nonzeros keep the printed locals short.
+    let a = SparseRandom::new(6, SEND_BUDGET / 16 + 1)
+        .sparse_ratio(0.0005)
+        .seed(0xC0FFEE)
+        .generate();
+    let staged = SchemeConfig::default();
+    let overlapped_chunked = SchemeConfig {
+        overlap: true,
+        chunk_elems: SEND_BUDGET / 8,
+        ..SchemeConfig::default()
+    };
+    for (label, config) in [
+        ("staged", staged),
+        ("overlapped+chunked", overlapped_chunked),
+    ] {
+        let report = explore(|| digest_run(SchemeKind::Sfc, 3, &a, None, config), 25_000);
+        assert_schedule_independent(&format!("SFC over budget p=3 {label}"), &report);
+        assert!(
+            report.baseline.starts_with("ok reassembled=true"),
+            "{label}: {}",
             report.baseline
         );
     }
