@@ -10,7 +10,7 @@ use sparsedist_core::gather::GatherStrategy;
 use sparsedist_core::partition::{ColBlock, ColCyclic, Mesh2D, Partition, RowBlock, RowCyclic};
 use sparsedist_core::redistribute::RedistStrategy;
 use sparsedist_core::schemes::{run_scheme, run_scheme_with, SchemeConfig, SchemeKind};
-use sparsedist_core::wire::{self, CodecChoice, StreamBytes, WireFormat, WirePolicy};
+use sparsedist_core::wire::{self, CodecChoice, StreamBytes, WireFormat};
 use sparsedist_gen::{matrixmarket, patterns, SparseRandom};
 use sparsedist_multicomputer::{
     chrome_trace_json, metrics_json, render_fault_summary, render_phase_table, render_waterfall,
@@ -62,11 +62,10 @@ fn parse_wire(s: &str) -> Result<WireFormat, CmdError> {
 
 fn parse_codec(s: &str) -> Result<CodecChoice, CmdError> {
     match s {
-        "auto" => Ok(CodecChoice::Auto),
         "raw" => Ok(CodecChoice::Raw),
         "delta" => Ok(CodecChoice::Delta),
         "packed" => Ok(CodecChoice::Packed),
-        other => Err(format!("unknown codec '{other}' (auto|raw|delta|packed)").into()),
+        other => Err(format!("unknown codec '{other}' (raw|delta|packed)").into()),
     }
 }
 
@@ -341,7 +340,7 @@ pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
         sent.bytes_per_element().unwrap_or(0.0)
     );
     if p.flag_or("streams", "no") == "yes" {
-        let policy = WirePolicy::new(wire, codec, machine.model());
+        let policy = config.policy();
         let mut tally = StreamBytes::default();
         for pid in 0..procs {
             // Rebuild the exact per-part streams the compressed schemes
@@ -349,9 +348,7 @@ pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
             // co-dimension) and measure them columnar under the policy.
             let mut ops = sparsedist_core::opcount::OpCounter::new();
             let l = compress_part(kind, &a, part.as_ref(), pid, &mut ops);
-            let bound = l.index_bound();
             tally.add(wire::measure_streams(
-                bound,
                 l.pointer(),
                 l.indices(),
                 l.values(),
@@ -1003,14 +1000,24 @@ mod tests {
     }
 
     #[test]
+    fn retired_codec_auto_is_an_error() {
+        let path = tmp("gen_auto.mtx");
+        crate::run(&argv(&format!("gen {path} --rows 16 --ratio 0.2"))).unwrap();
+        for cmd in [format!("distribute {path}"), "chaos --seeds 1".to_string()] {
+            let err = crate::run(&argv(&format!("{cmd} --wire v3 --codec auto"))).unwrap_err();
+            assert_eq!(err, "unknown codec 'auto' (raw|delta|packed)", "{cmd}");
+        }
+    }
+
+    #[test]
     fn distribute_codec_flag_and_streams_report() {
         let path = tmp("gen_streams.mtx");
         crate::run(&argv(&format!("gen {path} --rows 40 --ratio 0.1 --seed 3"))).unwrap();
         let d = crate::run(&argv(&format!(
-            "distribute {path} --scheme cfs --procs 4 --wire v3 --codec auto --streams yes"
+            "distribute {path} --scheme cfs --procs 4 --wire v3 --codec delta --streams yes"
         )))
         .unwrap();
-        assert!(d.contains("wire (v3/auto)"), "{d}");
+        assert!(d.contains("wire (v3/delta)"), "{d}");
         assert!(d.contains("streams (crs triples"), "{d}");
         assert!(d.contains("indices:"), "{d}");
         assert!(d.contains("values:"), "{d}");

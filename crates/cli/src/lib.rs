@@ -79,9 +79,8 @@ const DISTRIBUTE_NOTES: &str = "--faults takes comma-separated key=value tokens,
     500 µs in and its parts re-home mid-stream); --retries bounds retransmissions per message \
     (default 6). --overlap sends each part as soon as it is encoded; --chunk-elems streams \
     parts as framed chunks of at most N elements. --wire v3 adds per-stream codecs; --codec \
-    forces one ('auto' prices encode CPU against wire bytes with the --model coefficients, \
-    the Remark-5 crossover at run time). --streams reports the bytes per stream (indices vs \
-    values, raw vs encoded).\n\
+    picks the one every message uses (default packed). --streams reports the bytes per \
+    stream (indices vs values, raw vs encoded).\n\
     --timeline prints a per-rank waterfall of the run on the virtual clock, a phase × rank \
     table and any fault recovery; --trace writes a Chrome-trace JSON (load in Perfetto) and \
     --metrics the per-rank counters and histograms. Every rank is a task on one deterministic \
@@ -103,7 +102,7 @@ const SIMCHECK_NOTES: &str = "simcheck runs one scheme through EVERY message-del
 /// The value each flag takes, as USAGE shows it (`flag=HINT`, space-
 /// separated). A flag means the same on every subcommand that accepts
 /// it, so its hint is declared once, here.
-const FLAG_HINTS: &str = "bandwidth=N chunk-elems=N codec=auto|raw|delta|packed cols=N \
+const FLAG_HINTS: &str = "bandwidth=N chunk-elems=N codec=raw|delta|packed cols=N \
     config=pipeline|routed|chaos|all faults=SPEC grid=RxC kind=crs|ccs max-schedules=N \
     metrics=FILE.json model=sp2|compute|network overlap=yes \
     partition=row|column|mesh|rowcyclic|colcyclic pattern=uniform|banded|laplacian|clustered \

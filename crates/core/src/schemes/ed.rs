@@ -87,7 +87,7 @@ pub(crate) fn run(
         global,
         part,
         kind,
-        policy: WirePolicy::new(config.wire, config.codec, machine.model()),
+        policy: config.policy(),
     };
     pipeline::run_pipeline(machine, &stages, part, kind, config)
 }

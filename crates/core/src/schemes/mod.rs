@@ -27,7 +27,7 @@ use crate::dense::Dense2D;
 use crate::error::SparsedistError;
 use crate::partition::Partition;
 use crate::scan::PartScan;
-use crate::wire::{CodecChoice, WireFormat};
+use crate::wire::{CodecChoice, WireFormat, WirePolicy};
 use sparsedist_multicomputer::{Multicomputer, Phase, PhaseLedger, VirtualTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,10 +43,8 @@ pub struct SchemeConfig {
     /// [`WireFormat::V3`] compresses each stream with the codec chosen by
     /// [`Self::codec`].
     pub wire: WireFormat,
-    /// Which v3 codec the sender picks per message: a forced codec, or
-    /// [`CodecChoice::Auto`] to let the machine's α-β cost model decide
-    /// whether encode CPU beats wire bytes. Ignored under v1, whose
-    /// layout is fixed by the format.
+    /// Which v3 codec every message of the run uses. Ignored under v1,
+    /// whose layout is fixed by the format.
     pub codec: CodecChoice,
     /// Overlap encode/compress with the transfers: the source sends each
     /// part **as soon as it is encoded** via the engine's nonblocking
@@ -77,6 +75,14 @@ impl SchemeConfig {
         SchemeConfig {
             overlap: true,
             ..SchemeConfig::default()
+        }
+    }
+
+    /// The wire policy every message of the run is sent under.
+    pub fn policy(&self) -> WirePolicy {
+        WirePolicy {
+            format: self.wire,
+            choice: self.codec,
         }
     }
 }
@@ -555,7 +561,7 @@ mod tests {
         // Compare v3 against the default on every scheme × partition ×
         // kind: identical locals and identical busy phase totals.
         let a = paper_array_a();
-        let configs = [CodecChoice::Packed, CodecChoice::Auto].map(|codec| SchemeConfig {
+        let configs = [CodecChoice::Packed, CodecChoice::Delta].map(|codec| SchemeConfig {
             wire: WireFormat::V3,
             codec,
             ..SchemeConfig::default()

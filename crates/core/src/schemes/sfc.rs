@@ -160,7 +160,7 @@ pub(crate) fn run(
         global,
         part,
         kind,
-        policy: WirePolicy::new(config.wire, config.codec, machine.model()),
+        policy: config.policy(),
     };
     pipeline::run_pipeline(machine, &stages, part, kind, config)
 }
@@ -292,7 +292,7 @@ mod tests {
         for part in parts {
             for wire in [WireFormat::V1, WireFormat::V3] {
                 let s = Stages {
-                    policy: WirePolicy::new(wire, CodecChoice::Packed, model),
+                    policy: WirePolicy::of(wire),
                     ..stages(&a, part)
                 };
                 let mut encode_ops = 0;

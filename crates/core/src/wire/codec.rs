@@ -4,9 +4,9 @@
 //! of a message — a monotone pointer, sorted per-segment index runs,
 //! values — and hand them to the [`Codec`] their [`WirePolicy`] selects:
 //!
-//! 1. [`Codec::plan`] chooses the message's negotiation byte `desc` from
-//!    what the sender already knows (index bound, the streams themselves,
-//!    and for v3's `auto` mode the α-β [`MachineModel`]);
+//! 1. [`Codec::plan`] maps the policy's [`CodecChoice`] to the message's
+//!    negotiation byte `desc` — never the streams' contents, so a
+//!    sender's descriptor is a pure function of its [`WirePolicy`];
 //! 2. [`Codec::begin_message`] writes the self-describing header;
 //! 3. `encode_indices`/`encode_values` (columnar triples, CFS) or
 //!    `encode_pairs` (count-prefixed segments, ED) lay down the payload.
@@ -40,10 +40,6 @@ use sparsedist_multicomputer::MachineModel;
 /// [`WireFormat::V3`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CodecChoice {
-    /// Price each stream's candidates against the α-β model and take the
-    /// cheapest — the Remark-5 crossover as a per-message runtime
-    /// decision.
-    Auto,
     /// Raw `u64` indices and raw `f64` values (v1's layout behind a v3
     /// header).
     Raw,
@@ -59,7 +55,6 @@ impl CodecChoice {
     /// Lower-case label for CLI and table output.
     pub fn label(self) -> &'static str {
         match self {
-            CodecChoice::Auto => "auto",
             CodecChoice::Raw => "raw",
             CodecChoice::Delta => "delta",
             CodecChoice::Packed => "packed",
@@ -73,37 +68,30 @@ impl std::fmt::Display for CodecChoice {
     }
 }
 
-/// Everything a sender needs to put a message on the wire: the format,
-/// the codec choice within it, and the machine model that prices the
-/// `auto` negotiation.
+/// Everything a sender needs to put a message on the wire: the format
+/// and the codec choice within it.
 #[derive(Debug, Clone, Copy)]
 pub struct WirePolicy {
     /// The wire format this side speaks.
     pub format: WireFormat,
     /// The v3 codec selection mode.
     pub choice: CodecChoice,
-    /// α-β coefficients for the cost-model negotiator.
-    pub model: MachineModel,
 }
 
 impl WirePolicy {
-    /// A policy for `format` with the default codec choice and the
-    /// paper's IBM SP2 coefficients.
+    /// A policy for `format` with the default codec choice.
     pub fn of(format: WireFormat) -> Self {
         WirePolicy {
             format,
             choice: CodecChoice::default(),
-            model: MachineModel::ibm_sp2(),
         }
     }
 
-    /// A fully explicit policy.
-    pub fn new(format: WireFormat, choice: CodecChoice, model: MachineModel) -> Self {
-        WirePolicy {
-            format,
-            choice,
-            model,
-        }
+    /// A fully explicit policy. `_model` is ignored: no codec choice
+    /// depends on the machine model, and the parameter stays only for
+    /// callers that still pass one.
+    pub fn new(format: WireFormat, choice: CodecChoice, _model: MachineModel) -> Self {
+        WirePolicy { format, choice }
     }
 }
 
@@ -122,18 +110,8 @@ impl Default for WirePolicy {
 /// (`pointer.len() - 1` count fields instead of `pointer.len()` pointer
 /// entries, preserving the ED element count of `segments + 2·nnz`).
 pub trait Codec {
-    /// Choose the message's negotiation byte. `index_bound` is the
-    /// exclusive bound on travelling indices (the global inner
-    /// dimension); the streams let v3's `auto` mode price candidate
-    /// encodings exactly.
-    fn plan(
-        &self,
-        index_bound: usize,
-        pointer: &[usize],
-        indices: &[usize],
-        values: &[f64],
-        policy: &WirePolicy,
-    ) -> u8;
+    /// The negotiation byte a message sent under `choice` carries.
+    fn plan(&self, choice: CodecChoice) -> u8;
 
     /// Write the self-describing header (nothing for v1). Framing bytes
     /// only: the buffer's element count is unchanged.
@@ -225,7 +203,7 @@ pub(super) fn guard_count(
 }
 
 impl Codec for V1Raw {
-    fn plan(&self, _: usize, _: &[usize], _: &[usize], _: &[f64], _: &WirePolicy) -> u8 {
+    fn plan(&self, _: CodecChoice) -> u8 {
         0
     }
 
@@ -362,14 +340,13 @@ impl StreamBytes {
 /// bytes are not counted (they are per-message framing, not stream
 /// payload).
 pub fn measure_streams(
-    index_bound: usize,
     pointer: &[usize],
     indices: &[usize],
     values: &[f64],
     policy: &WirePolicy,
 ) -> StreamBytes {
     let codec = codec_for(policy.format);
-    let desc = codec.plan(index_bound, pointer, indices, values, policy);
+    let desc = codec.plan(policy.choice);
     let mut ib = PackBuffer::new();
     codec.encode_indices(&mut ib, pointer, indices, desc);
     let mut vb = PackBuffer::new();

@@ -2,8 +2,8 @@
 //!
 //! The paper's schemes put `(RO, CO, VL)` triples (CFS) and encoded
 //! buffers `B` (ED) on the wire. This family implements two layouts
-//! behind one [`Codec`] trait, chosen per run by [`WireFormat`] and per
-//! message by v3's negotiation byte:
+//! behind one [`Codec`] trait, chosen per run by [`WireFormat`] and,
+//! within v3, by the negotiation byte every message carries:
 //!
 //! * **v1** ([`codec::V1Raw`]) — the seed layout: every index a
 //!   little-endian `u64`, every value a little-endian `f64`, no header.
@@ -12,8 +12,7 @@
 //! * **v3** ([`v3::V3Packed`]) — `[b'S', b'3', desc]` where `desc`
 //!   selects per stream between raw, delta-varint, and bit-packed index
 //!   runs, and optionally byte-transposed value planes; the selection is
-//!   forced by [`codec::CodecChoice`] or priced per message against the
-//!   α-β machine model (`auto`).
+//!   the run's [`codec::CodecChoice`] alone, never the message's contents.
 //!
 //! Module layout: [`varint`] holds zigzag and the segment-resetting
 //! delta-varint run writer/reader, [`bitpack`] the fixed-block bit
@@ -62,7 +61,7 @@ pub enum WireFormat {
     V1,
     /// Per-stream compression: bit-packed index runs and byte-transposed
     /// value planes behind a self-describing descriptor byte, selected
-    /// per message by policy or by the α-β cost model.
+    /// by the run's codec choice.
     V3,
 }
 
@@ -114,23 +113,23 @@ pub type UnpackedTriple = (Vec<usize>, Vec<usize>, Vec<f64>);
 /// Pack a `(pointer, indices, values)` compressed triple — the CFS wire
 /// message — into `buf` under `policy`.
 ///
-/// The policy's codec plans the message's negotiation byte (from
-/// `index_bound`, the exclusive bound on travelling indices, and the
-/// streams themselves), writes its header, then the pointer + index
+/// The policy's codec plans the message's negotiation byte from the
+/// policy's codec choice, writes its header, then the pointer + index
 /// streams and the value stream. Every format appends exactly
 /// `pointer.len() + 2 * nnz` logical elements, so `T_Data` charges are
-/// format-independent.
+/// format-independent. `_index_bound` is ignored; the parameter stays
+/// only for callers that still pass one.
 pub fn pack_triple_into(
     buf: &mut PackBuffer,
     pointer: &[usize],
     indices: &[usize],
     values: &[f64],
-    index_bound: usize,
+    _index_bound: usize,
     policy: &WirePolicy,
 ) {
     debug_assert_eq!(indices.len(), values.len());
     let codec = codec_for(policy.format);
-    let desc = codec.plan(index_bound, pointer, indices, values, policy);
+    let desc = codec.plan(policy.choice);
     codec.begin_message(buf, desc);
     codec.encode_indices(buf, pointer, indices, desc);
     codec.encode_values(buf, values, desc);
@@ -160,7 +159,7 @@ pub fn unpack_triple(
 /// no index side) into `buf` under `policy`.
 pub fn pack_values_into(buf: &mut PackBuffer, values: &[f64], policy: &WirePolicy) {
     let codec = codec_for(policy.format);
-    let desc = codec.plan(0, &[], &[], values, policy);
+    let desc = codec.plan(policy.choice);
     codec.begin_message(buf, desc);
     codec.encode_values(buf, values, desc);
 }

@@ -1,7 +1,7 @@
-//! The v3 wire format: negotiated per-stream compression.
+//! The v3 wire format: self-describing per-stream compression.
 //!
 //! A v3 message opens with `[b'S', b'3', desc]` where `desc` is the
-//! **negotiation byte** the sender chose per message:
+//! **negotiation byte** the sender's codec choice selects:
 //!
 //! | bits  | meaning                                                |
 //! |-------|--------------------------------------------------------|
@@ -31,20 +31,18 @@
 //! byte straight out of the words; the decoder ORs every plane's bytes
 //! into zeroed `u64` words. Values come back bit for bit.
 //!
-//! Which encodings the sender actually uses is the [`CodecChoice`]: the
-//! default `packed` forces maximum shrink, while `auto` prices every
-//! candidate against the α-β
-//! [`sparsedist_multicomputer::MachineModel`] — bytes cost
-//! `t_data / 8` each (the model charges `T_Data` per 8-byte element) and
-//! encode work costs `t_op` per estimated operation — making the paper's
-//! Remark-5 compress-or-not crossover a per-message runtime decision.
+//! Which encodings the sender uses is the run's [`CodecChoice`] alone:
+//! the default `packed` forces maximum shrink, `raw` and `delta` keep
+//! the cheaper layouts. The choice never reads a message's contents, so
+//! every message of a run carries the same descriptor; the receiver
+//! still accepts any valid one.
 //!
 //! Like every codec, v3 moves **bytes, never ops**: a message's logical
 //! element count is identical under every `desc`, so all virtual-time
 //! phase totals are format-independent.
 
 use super::bitpack::{packed_size, take_packed, write_packed, PackedValues};
-use super::codec::{guard_count, Codec, CodecChoice, WirePolicy};
+use super::codec::{guard_count, Codec, CodecChoice};
 use super::varint::{unzigzag, varint_len, zigzag, IndexRunReader, IndexRunWriter};
 use super::{push_monotone_run, take_header, UnpackedTriple};
 use crate::compress::CompressError;
@@ -82,19 +80,11 @@ fn codec_err(reason: &'static str) -> CompressError {
 pub struct V3Packed;
 
 impl Codec for V3Packed {
-    fn plan(
-        &self,
-        _index_bound: usize,
-        pointer: &[usize],
-        indices: &[usize],
-        values: &[f64],
-        policy: &WirePolicy,
-    ) -> u8 {
-        match policy.choice {
+    fn plan(&self, choice: CodecChoice) -> u8 {
+        match choice {
             CodecChoice::Raw => IDX_RAW,
             CodecChoice::Delta => IDX_DELTA,
             CodecChoice::Packed => IDX_PACKED | VAL_PLANES,
-            CodecChoice::Auto => auto_desc(pointer, indices, values, policy),
         }
     }
 
@@ -850,68 +840,9 @@ fn decode_plane<'a>(
     Ok(None)
 }
 
-/// Exact byte cost of the [`IDX_DELTA`] encoding of the index stream.
-fn delta_index_bytes(pointer: &[usize], indices: &[usize]) -> usize {
-    let mut total = 0;
-    for seg in 0..pointer.len().saturating_sub(1) {
-        let mut prev = 0u64;
-        let mut fresh = true;
-        for &idx in &indices[pointer[seg]..pointer[seg + 1]] {
-            let v = idx as u64;
-            total += varint_len(if fresh { v } else { v - prev });
-            prev = v;
-            fresh = false;
-        }
-    }
-    total
-}
-
 /// Exact byte cost of the [`IDX_PACKED`] encoding of the index stream.
 fn packed_index_bytes(pointer: &[usize], indices: &[usize]) -> usize {
     packed_size(firsts(pointer, indices)) + packed_size(within(pointer, indices))
-}
-
-/// Exact byte cost of the [`VAL_PLANES`] encoding of `values`.
-fn planes_bytes(values: &[f64]) -> usize {
-    plan_planes(values).1.iter().map(|(_, cost)| cost).sum()
-}
-
-/// The `auto` negotiator: price every candidate encoding of each stream
-/// against the α-β model and keep the cheapest. A byte on the wire costs
-/// `t_data / 8` (the model charges `T_Data` per 8-byte element); encode
-/// work is estimated at `nnz / 4` ops for bit-packing an index stream
-/// and one op per value for the plane codec, while the raw and
-/// delta paths ride the existing encode loops at no extra charge. This
-/// is Remark 5's compress-or-not crossover decided per message at
-/// runtime.
-fn auto_desc(pointer: &[usize], indices: &[usize], values: &[f64], policy: &WirePolicy) -> u8 {
-    let byte_t = policy.model.t_data / 8.0;
-    let t_op = policy.model.t_op;
-
-    let nnz = indices.len();
-    let raw_bytes = 8 * nnz;
-    let delta_bytes = delta_index_bytes(pointer, indices);
-    let packed_bytes = packed_index_bytes(pointer, indices);
-    let cheap_bytes = delta_bytes.min(raw_bytes);
-    let packed_cost = packed_bytes as f64 * byte_t + (nnz as f64 / 4.0) * t_op;
-    let idx = if packed_cost < cheap_bytes as f64 * byte_t {
-        IDX_PACKED
-    } else if delta_bytes <= raw_bytes {
-        IDX_DELTA
-    } else {
-        IDX_RAW
-    };
-
-    let n = values.len();
-    let val = if n > 0
-        && planes_bytes(values) as f64 * byte_t + n as f64 * t_op < (8 * n) as f64 * byte_t
-    {
-        VAL_PLANES
-    } else {
-        0
-    };
-
-    idx | val
 }
 
 #[cfg(test)]
@@ -919,7 +850,6 @@ mod tests {
     use super::super::codec::{codec_for, V3_PACKED};
     use super::super::WireFormat;
     use super::*;
-    use sparsedist_multicomputer::MachineModel;
 
     fn fig7_triple() -> (Vec<usize>, Vec<usize>, Vec<f64>) {
         (
@@ -1146,29 +1076,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn auto_negotiation_follows_the_machine_model() {
-        // n=1000-ish realistic shape: sorted sparse indices, values in [1, 2).
-        let nnz = 400;
-        let pointer: Vec<usize> = (0..=100).map(|i| i * nnz / 100).collect();
-        let indices: Vec<usize> = (0..nnz).map(|i| (i % 4) * 250 + i / 4).collect();
-        let values: Vec<f64> = (0..nnz).map(|i| 1.0 + (i % 64) as f64 / 64.0).collect();
-        let auto = |model: MachineModel| {
-            let policy = WirePolicy::new(WireFormat::V3, CodecChoice::Auto, model);
-            V3_PACKED.plan(1000, &pointer, &indices, &values, &policy)
-        };
-        // A network-bound machine pays dearly per byte: compress hard.
-        assert_eq!(auto(MachineModel::network_bound()), IDX_PACKED | VAL_PLANES);
-        // A compute-bound machine keeps the free delta varints but skips
-        // the op-charged transforms.
-        assert_eq!(auto(MachineModel::compute_bound()), IDX_DELTA);
-        // The decision actually flips between models — Remark 5 at runtime.
-        assert_ne!(
-            auto(MachineModel::network_bound()),
-            auto(MachineModel::compute_bound())
-        );
-    }
-
     /// Values whose plane `p` is `bytes` and whose other planes are zero.
     fn values_with_plane(bytes: &[u8], p: usize) -> Vec<f64> {
         bytes
@@ -1314,7 +1221,6 @@ mod tests {
             }
             let expect: Vec<u8> = planes.iter().flat_map(|p| reference_plane(p)).collect();
             assert_eq!(buf.as_bytes(), expect, "case {case}: n {n}");
-            assert_eq!(planes_bytes(&values), expect.len(), "case {case}");
 
             let mut c = buf.cursor();
             let back = V3_PACKED.decode_values(&mut c, n, VAL_PLANES).unwrap();
@@ -1376,7 +1282,6 @@ mod tests {
             push_monotone_run(&mut head, &pointer);
             let priced = [
                 (IDX_RAW, 8 * indices.len()),
-                (IDX_DELTA, delta_index_bytes(&pointer, &indices)),
                 (IDX_PACKED, packed_index_bytes(&pointer, &indices)),
             ];
             for (desc, bytes) in priced {
@@ -1387,7 +1292,6 @@ mod tests {
             }
             let mut b = PackBuffer::new();
             V3_PACKED.encode_values(&mut b, &values, VAL_PLANES);
-            assert_eq!(b.byte_len(), planes_bytes(&values));
             assert_eq!(b.elem_count(), values.len() as u64);
         }
     }

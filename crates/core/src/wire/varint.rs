@@ -3,7 +3,7 @@
 //!
 //! LEB128 encoding itself lives in the pack layer
 //! ([`PackBuffer::push_varint`] / `UnpackCursor::try_read_varint`); this
-//! module adds the size accounting the v3 negotiator needs
+//! module adds the size accounting the value-plane RLE census needs
 //! ([`varint_len`]), the signed-to-unsigned fold for deltas that may go
 //! backwards ([`zigzag`]/[`unzigzag`]), and the segment-resetting run
 //! writer/reader.

@@ -58,7 +58,6 @@ fn arb_config() -> impl Strategy<Value = SchemeConfig> {
     (
         prop_oneof![Just(WireFormat::V1), Just(WireFormat::V3)],
         prop_oneof![
-            Just(CodecChoice::Auto),
             Just(CodecChoice::Raw),
             Just(CodecChoice::Delta),
             Just(CodecChoice::Packed)

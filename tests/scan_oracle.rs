@@ -196,10 +196,8 @@ fn ref_encode(
     format: WireFormat,
 ) -> PackBuffer {
     let ((pointer, indices, values), _) = ref_scan(a, part, pid, kind);
-    let (grows, gcols) = part.global_shape();
-    let policy = WirePolicy::of(format);
     let codec = codec_for(format);
-    let desc = codec.plan(grows.max(gcols), &pointer, &indices, &values, &policy);
+    let desc = codec.plan(WirePolicy::of(format).choice);
     let mut buf = PackBuffer::new();
     codec.begin_message(&mut buf, desc);
     codec.encode_pairs(&mut buf, &pointer, &indices, &values, desc);

@@ -170,7 +170,7 @@ fn values_from_planes(planes: &[Vec<u8>; 8]) -> Vec<f64> {
 
 /// Pack `values` as a bare v3 value message with forced byte planes.
 fn v3_planes_message(values: &[f64]) -> PackBuffer {
-    let policy = WirePolicy::new(WireFormat::V3, CodecChoice::Packed, MachineModel::ibm_sp2());
+    let policy = WirePolicy::of(WireFormat::V3);
     let mut buf = PackBuffer::new();
     wire::pack_values_into(&mut buf, values, &policy);
     buf
@@ -368,7 +368,7 @@ fn cfs_triple_v3_packed_bytes_golden() {
     // 0x4016…: six all-zero planes (dictionary, width 0), plane 6 raw,
     // plane 7 a two-entry dictionary with codes 0,1,1,1,1.
     let mut buf = PackBuffer::new();
-    let policy = WirePolicy::new(WireFormat::V3, CodecChoice::Packed, MachineModel::ibm_sp2());
+    let policy = WirePolicy::of(WireFormat::V3);
     wire::pack_triple_into(&mut buf, &POINTER, &INDICES, &VALUES, 8, &policy);
     let mut expect: Vec<u8> = vec![b'S', b'3', 0b110];
     expect.extend_from_slice(&[0, 2, 0, 3]);
@@ -395,20 +395,9 @@ fn hex_line(out: &mut String, name: &str, buf: &PackBuffer) {
 fn v3_streams_match_hex_goldens() {
     let mut text = String::new();
     let choices = [
-        ("raw", CodecChoice::Raw, MachineModel::ibm_sp2()),
-        ("delta", CodecChoice::Delta, MachineModel::ibm_sp2()),
-        ("packed", CodecChoice::Packed, MachineModel::ibm_sp2()),
-        ("auto-sp2", CodecChoice::Auto, MachineModel::ibm_sp2()),
-        (
-            "auto-network",
-            CodecChoice::Auto,
-            MachineModel::network_bound(),
-        ),
-        (
-            "auto-compute",
-            CodecChoice::Auto,
-            MachineModel::compute_bound(),
-        ),
+        ("raw", CodecChoice::Raw),
+        ("delta", CodecChoice::Delta),
+        ("packed", CodecChoice::Packed),
     ];
     let a = SparseRandom::new(32, 32)
         .sparse_ratio(0.2)
@@ -416,8 +405,11 @@ fn v3_streams_match_hex_goldens() {
         .generate();
     let part = RowBlock::new(32, 32, 4);
     let pid = 1;
-    for (label, choice, model) in choices {
-        let policy = WirePolicy::new(WireFormat::V3, choice, model);
+    for (label, choice) in choices {
+        let policy = WirePolicy {
+            format: WireFormat::V3,
+            choice,
+        };
 
         let mut buf = PackBuffer::new();
         wire::pack_triple_into(&mut buf, &POINTER, &INDICES, &VALUES, 8, &policy);
@@ -513,8 +505,8 @@ fn plane_case_values(kind: &str, n: usize, s: f64, seed: u64) -> Vec<f64> {
 fn v3_value_planes_match_scale_golden() {
     // Bare value messages at and around the 8-value word and 64-value
     // chunk boundaries, at the sizes an SFC part carries, pinned by
-    // length and CRC32 under `packed` and the three `auto` models (full
-    // hex up to 64 values). Each must decode back bit for bit.
+    // length and CRC32 under `packed` (full hex up to 64 values). Each
+    // must decode back bit for bit.
     let mut cases: Vec<(String, Vec<f64>)> = Vec::new();
     let sizes = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097];
     for (k, kind) in ["unit", "mixed", "subnormal"].into_iter().enumerate() {
@@ -545,45 +537,27 @@ fn v3_value_planes_match_scale_golden() {
     // One value repeated: every plane a one-entry dictionary.
     cases.push(("constant".into(), vec![3.25; 1000]));
 
-    let policies = [
-        ("packed", CodecChoice::Packed, MachineModel::ibm_sp2()),
-        ("auto-sp2", CodecChoice::Auto, MachineModel::ibm_sp2()),
-        (
-            "auto-network",
-            CodecChoice::Auto,
-            MachineModel::network_bound(),
-        ),
-        (
-            "auto-compute",
-            CodecChoice::Auto,
-            MachineModel::compute_bound(),
-        ),
-    ];
     let mut text = String::new();
     for (name, values) in &cases {
-        for (label, choice, model) in &policies {
-            let policy = WirePolicy::new(WireFormat::V3, *choice, *model);
-            let mut buf = PackBuffer::new();
-            wire::pack_values_into(&mut buf, values, &policy);
-            let bytes = buf.as_bytes();
-            let _ = write!(
-                text,
-                "{name}/{label} {} {:08x}",
-                bytes.len(),
-                sparsedist::multicomputer::pack::crc32(bytes)
-            );
-            if values.len() <= 64 {
-                text.push(' ');
-                for b in bytes {
-                    let _ = write!(text, "{b:02x}");
-                }
+        let buf = v3_planes_message(values);
+        let bytes = buf.as_bytes();
+        let _ = write!(
+            text,
+            "{name}/packed {} {:08x}",
+            bytes.len(),
+            sparsedist::multicomputer::pack::crc32(bytes)
+        );
+        if values.len() <= 64 {
+            text.push(' ');
+            for b in bytes {
+                let _ = write!(text, "{b:02x}");
             }
-            text.push('\n');
-            let mut c = buf.cursor();
-            let back = wire::unpack_values(&mut c, values.len(), WireFormat::V3).unwrap();
-            assert!(c.is_exhausted(), "{name}/{label}");
-            assert_eq!(bits_of(&back), bits_of(values), "{name}/{label}");
         }
+        text.push('\n');
+        let mut c = buf.cursor();
+        let back = wire::unpack_values(&mut c, values.len(), WireFormat::V3).unwrap();
+        assert!(c.is_exhausted(), "{name}");
+        assert_eq!(bits_of(&back), bits_of(values), "{name}");
     }
     assert_golden("wire_v3_planes.txt", &text);
 }
@@ -631,10 +605,10 @@ proptest! {
             prop_assert_eq!(from_v1.1.as_slice(), crs.co());
             prop_assert_eq!(from_v1.2.as_slice(), crs.vl());
 
-            // v3 under every forced codec and auto: same decoded triple,
-            // same logical elements.
-            for choice in [CodecChoice::Auto, CodecChoice::Raw, CodecChoice::Delta, CodecChoice::Packed] {
-                let policy = WirePolicy::new(WireFormat::V3, choice, MachineModel::ibm_sp2());
+            // v3 under every codec: same decoded triple, same logical
+            // elements.
+            for choice in [CodecChoice::Raw, CodecChoice::Delta, CodecChoice::Packed] {
+                let policy = WirePolicy { format: WireFormat::V3, choice };
                 let mut v3 = PackBuffer::new();
                 wire::pack_triple_into(&mut v3, crs.ro(), crs.co(), crs.vl(), a.cols(), &policy);
                 prop_assert_eq!(v3.elem_count(), v1.elem_count());

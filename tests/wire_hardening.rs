@@ -13,7 +13,7 @@
 use sparsedist::core::compress::CompressError;
 use sparsedist::core::error::SparsedistError;
 use sparsedist::core::wire::{self, CodecChoice, WireFormat, WirePolicy};
-use sparsedist::multicomputer::{MachineModel, PackBuffer};
+use sparsedist::multicomputer::PackBuffer;
 
 /// A triple with enough shape to exercise every codec path: empty
 /// segments, a monotone run that bit-packs, a scattered segment that
@@ -38,17 +38,11 @@ const BOUND: usize = 64;
 /// Every (format, codec) pairing a sender can put on the wire.
 fn policies() -> Vec<WirePolicy> {
     let mut out = vec![WirePolicy::of(WireFormat::V1)];
-    for choice in [
-        CodecChoice::Raw,
-        CodecChoice::Delta,
-        CodecChoice::Packed,
-        CodecChoice::Auto,
-    ] {
-        out.push(WirePolicy::new(
-            WireFormat::V3,
+    for choice in [CodecChoice::Raw, CodecChoice::Delta, CodecChoice::Packed] {
+        out.push(WirePolicy {
+            format: WireFormat::V3,
             choice,
-            MachineModel::network_bound(),
-        ));
+        });
     }
     out
 }
