@@ -84,6 +84,7 @@ fn encode(local: &LocalCompressed) -> PackBuffer {
     buf.push_u64(MAGIC);
     buf.push_u64(VERSION);
     let kind = KINDS.iter().position(|&k| k == local.kind());
+    // lint: allow(E002) — KINDS lists every CompressKind variant, so the position always exists
     buf.push_u64(kind.expect("KINDS lists every kind") as u64);
     let (rows, cols) = local.shape();
     buf.push_u64(rows as u64);

@@ -29,6 +29,7 @@ impl std::error::Error for GenError {}
 /// What a panicking setter makes of its fallible form: the value, or a
 /// panic with the check's message.
 fn or_panic<T>(checked: Result<T, GenError>) -> T {
+    // lint: allow(E003) — the panicking setters document this panic; their `try_` forms are fallible
     checked.unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -33,27 +33,50 @@ pub fn distributed_scale(
 /// Elementwise sum `C = A + B` of two arrays distributed under the *same*
 /// partition, in the same format. Purely local merges.
 ///
+/// # Errors
+/// [`SparsedistError::LocalsMismatch`] if the operands' local counts
+/// differ from the machine's size, or a part's two locals differ in
+/// compression kind.
+///
 /// # Panics
-/// Panics if sizes or formats disagree.
+/// Panics if a part's two locals differ in shape.
 pub fn distributed_add(
     machine: &Multicomputer,
     a: &[LocalCompressed],
     b: &[LocalCompressed],
-) -> Vec<LocalCompressed> {
-    assert_eq!(machine.nprocs(), a.len(), "machine size != a");
-    assert_eq!(a.len(), b.len(), "operand processor counts differ");
-    machine.run(|env| {
+) -> Result<Vec<LocalCompressed>, SparsedistError> {
+    let p = machine.nprocs();
+    if a.len() != p || b.len() != p {
+        return Err(mismatch(
+            "operand local count".into(),
+            format!("expected {p}, found {} and {}", a.len(), b.len()),
+        ));
+    }
+    let sums = machine.run(|env| {
         let me = env.rank();
         env.phase(Phase::Compute, |env| {
             let sum = match (&a[me], &b[me]) {
                 (LocalCompressed::Crs(x), LocalCompressed::Crs(y)) => elementwise::add(x, y).into(),
                 (LocalCompressed::Ccs(x), LocalCompressed::Ccs(y)) => elementwise::add(x, y).into(),
-                _ => panic!("part {me}: operands differ in compression kind"),
+                (x, y) => {
+                    return Err(mismatch(
+                        format!("part {me} kind"),
+                        format!("{} + {}", x.kind(), y.kind()),
+                    ))
+                }
             };
             env.charge_ops((a[me].nnz() + b[me].nnz()) as u64);
-            sum
+            Ok(sum)
         })
-    })
+    });
+    sums.into_iter().collect()
+}
+
+fn mismatch(what: String, detail: String) -> SparsedistError {
+    SparsedistError::LocalsMismatch {
+        what,
+        detail: detail.into(),
+    }
 }
 
 /// Frobenius norm of the whole distributed array: local partials combined
@@ -68,6 +91,7 @@ pub fn distributed_frobenius(
 ) -> Result<f64, SparsedistError> {
     assert_eq!(machine.nprocs(), locals.len(), "machine size != locals");
     let results = machine.run_tasks(locals, |locals, env| frobenius_task(locals, env));
+    // lint: allow(E002) — a Multicomputer has at least one rank, and run_tasks returns one result per rank
     results.into_iter().next().expect("at least one rank")
 }
 
@@ -302,7 +326,7 @@ mod tests {
     #[test]
     fn add_combines_distributions() {
         let (run, part) = distribute(CompressKind::Crs);
-        let doubled = distributed_add(&machine(4), &run.locals, &run.locals);
+        let doubled = distributed_add(&machine(4), &run.locals, &run.locals).unwrap();
         let rebuilt = SchemeRun {
             locals: doubled,
             ..run.clone()
@@ -316,7 +340,7 @@ mod tests {
     #[test]
     fn add_works_on_ccs_locals() {
         let (run, part) = distribute(CompressKind::Ccs);
-        let doubled = distributed_add(&machine(4), &run.locals, &run.locals);
+        let doubled = distributed_add(&machine(4), &run.locals, &run.locals).unwrap();
         assert!(doubled.iter().all(|l| l.kind() == CompressKind::Ccs));
         let rebuilt = SchemeRun {
             locals: doubled,
@@ -329,11 +353,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "operands differ in compression kind")]
     fn add_rejects_mixed_kinds() {
         let (crs, _) = distribute(CompressKind::Crs);
         let (ccs, _) = distribute(CompressKind::Ccs);
-        let _ = distributed_add(&machine(4), &crs.locals, &ccs.locals);
+        let err = distributed_add(&machine(4), &crs.locals, &ccs.locals).unwrap_err();
+        assert_eq!(err.to_string(), "part 0 kind mismatch: crs + ccs");
+        let err = distributed_add(&machine(4), &crs.locals, &crs.locals[..3]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "operand local count mismatch: expected 4, found 4 and 3"
+        );
     }
 
     #[test]

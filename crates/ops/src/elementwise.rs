@@ -15,6 +15,7 @@ pub fn scale<M: SegmentAxis>(a: &Compressed<M>, alpha: f64) -> Compressed<M> {
         a.indices().to_vec(),
         values,
     )
+    // lint: allow(E002) — `a`'s own validated pointer and indices, with as many values
     .expect("scaling preserves structure")
 }
 
@@ -56,6 +57,7 @@ pub fn add<M: SegmentAxis>(a: &Compressed<M>, b: &Compressed<M>) -> Compressed<M
         pointer.push(indices.len());
     }
     Compressed::from_raw(a.rows(), a.cols(), pointer, indices, values)
+        // lint: allow(E002) — merging two valid segments of one shape keeps each sorted and in bounds
         .expect("merge preserves ordering")
 }
 

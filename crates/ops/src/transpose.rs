@@ -8,9 +8,14 @@
 
 use sparsedist_core::compress::{Ccs, Compressed, Crs, SegmentAxis};
 
-/// `a`'s three arrays with segments and indices swapped: the nonzeros
-/// bucketed by index, each bucket in segment order.
-fn rebucket<M: SegmentAxis>(a: &Compressed<M>) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+/// `a`'s nonzeros bucketed by index, each bucket in segment order: the
+/// `rows`×`cols` array whose segments are `a`'s indices and whose indices
+/// are `a`'s segments.
+fn rebucket<M: SegmentAxis, N: SegmentAxis>(
+    a: &Compressed<M>,
+    rows: usize,
+    cols: usize,
+) -> Compressed<N> {
     let mut pointer = vec![0usize; a.index_bound() + 1];
     for &i in a.indices() {
         pointer[i + 1] += 1;
@@ -29,29 +34,25 @@ fn rebucket<M: SegmentAxis>(a: &Compressed<M>) -> (Vec<usize>, Vec<usize>, Vec<f
             cursor[i] += 1;
         }
     }
-    (pointer, indices, values)
+    Compressed::from_raw(rows, cols, pointer, indices, values)
+        // lint: allow(E002) — a stable counting sort of a valid array keeps each bucket sorted and in bounds
+        .expect("counting sort preserves invariants")
 }
 
 /// Convert CRS → CCS of the *same* array (column-major re-bucketing).
 pub fn crs_to_ccs(a: &Crs) -> Ccs {
-    let (pointer, indices, values) = rebucket(a);
-    Ccs::from_raw(a.rows(), a.cols(), pointer, indices, values)
-        .expect("counting sort preserves invariants")
+    rebucket(a, a.rows(), a.cols())
 }
 
 /// Convert CCS → CRS of the same array.
 pub fn ccs_to_crs(a: &Ccs) -> Crs {
-    let (pointer, indices, values) = rebucket(a);
-    Crs::from_raw(a.rows(), a.cols(), pointer, indices, values)
-        .expect("counting sort preserves invariants")
+    rebucket(a, a.rows(), a.cols())
 }
 
 /// Transpose a CRS array (returns CRS of `Aᵀ`): CRS(A) re-bucketed by
 /// column is CRS(Aᵀ) once the dimensions are flipped.
 pub fn transpose(a: &Crs) -> Crs {
-    let (pointer, indices, values) = rebucket(a);
-    Crs::from_raw(a.cols(), a.rows(), pointer, indices, values)
-        .expect("counting sort preserves invariants")
+    rebucket(a, a.cols(), a.rows())
 }
 
 #[cfg(test)]

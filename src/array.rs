@@ -90,6 +90,7 @@ impl<'m> DistributedSparseArray<'m> {
         kind: CompressKind,
         locals: Vec<LocalCompressed>,
     ) -> Self {
+        // lint: allow(E003) — `from_locals` documents this panic; `try_from_locals` is the fallible form
         Self::try_from_locals(machine, partition, kind, locals).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -224,7 +225,9 @@ impl<'m> DistributedSparseArray<'m> {
                 "partitions disagree at part {pid}"
             );
         }
-        self.locals = distributed_add(self.machine, &self.locals, &other.locals);
+        self.locals = distributed_add(self.machine, &self.locals, &other.locals)
+            // lint: allow(E002) — the asserts above check the kinds, and both arrays hold one local per rank
+            .expect("operands checked above");
     }
 
     /// Frobenius norm of the whole distributed array (allreduce).
