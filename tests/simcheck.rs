@@ -1,9 +1,10 @@
 //! Exhaustive schedule checking of whole scheme runs (`sparsedist
 //! simcheck`'s engine, driven directly): every message-delivery
 //! interleaving of a small machine must produce bit-identical ledgers,
-//! locals and owners, and none may deadlock. The halo SpMV and the three
-//! gather strategies, run on a distributed ED state, are held to the same
-//! standard.
+//! locals and owners, and none may deadlock. The halo SpMV (also under
+//! a seeded drop plan), the three gather strategies and both
+//! redistribution strategies, run on a distributed ED state, are held to
+//! the same standard.
 //!
 //! The static C rules (crates/lint) prove the syntactic half of the
 //! communication-safety story; these tests prove the semantic half on
@@ -16,6 +17,7 @@ use sparsedist_core::dense::Dense2D;
 use sparsedist_core::gather::{gather_global, GatherStrategy};
 use sparsedist_core::opcount::OpCounter;
 use sparsedist_core::partition::{ColBlock, Partition, RowBlock};
+use sparsedist_core::redistribute::{redistribute, RedistStrategy};
 use sparsedist_core::schemes::{run_scheme, run_scheme_with, SchemeConfig, SchemeKind, SchemeRun};
 use sparsedist_gen::SparseRandom;
 use sparsedist_multicomputer::{
@@ -152,14 +154,14 @@ fn chaos_plans_p3_are_schedule_independent() {
     }
 }
 
-/// The ED state of an 8×8 array at density 0.3 over `part` on p=3: the
-/// state every post-distribution program below starts from.
+/// The ED state of an 8×8 array at density 0.3 over `part`, one part per
+/// rank: the state every post-distribution program below starts from.
 fn ed_state(part: &dyn Partition) -> (Dense2D, Multicomputer, SchemeRun) {
     let a = SparseRandom::new(8, 8)
         .sparse_ratio(0.3)
         .seed(0xC0FFEE)
         .generate();
-    let machine = Multicomputer::virtual_machine(3, MachineModel::ibm_sp2());
+    let machine = Multicomputer::virtual_machine(part.nparts(), MachineModel::ibm_sp2());
     let run = run_scheme(SchemeKind::Ed, &machine, &a, part, CompressKind::Crs).unwrap();
     (a, machine, run)
 }
@@ -249,6 +251,72 @@ fn sfc_sends_over_the_send_budget_p3_are_schedule_independent() {
         assert_schedule_independent(&format!("SFC over budget p=3 {label}"), &report);
         assert!(
             report.baseline.starts_with("ok reassembled=true"),
+            "{label}: {}",
+            report.baseline
+        );
+    }
+}
+
+#[test]
+fn halo_spmv_under_drops_p3_is_schedule_independent() {
+    // A seeded drop plan with retries: retransmissions and their timeouts
+    // join the ledgers, and the fates follow the plan's deterministic
+    // sequence, so the product and every ledger are the same under every
+    // delivery order and still equal the serial product bit for bit.
+    let part = RowBlock::new(8, 8, 3);
+    let (a, clean, run) = ed_state(&part);
+    let x: Vec<f64> = (0..8).map(|i| 1.0 + 0.25 * i as f64).collect();
+    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let machine = clean
+        .with_faults(FaultPlan::new(7).with_drop(0.3))
+        .with_retry_policy(RetryPolicy::with_retries(10));
+    let (_, ledgers) = distributed_spmv_ledgers(&machine, &run, &part, &x).unwrap();
+    assert!(
+        ledgers.iter().any(|l| l.faults().drops > 0),
+        "the plan must drop at least one message: {ledgers:?}"
+    );
+    let report = explore(
+        || match distributed_spmv_ledgers(&machine, &run, &part, &x) {
+            Ok((y, ledgers)) => format!("ok y={:?} ledgers={ledgers:?}", bits(&y)),
+            Err(e) => format!("err {e}"),
+        },
+        25_000,
+    );
+    assert_schedule_independent("halo SpMV under drops p=3", &report);
+    let serial = crs_spmv(&Crs::from_dense(&a, &mut OpCounter::new()), &x);
+    let want = format!("ok y={:?} ", bits(&serial));
+    assert!(report.baseline.starts_with(&want), "{}", report.baseline);
+}
+
+#[test]
+fn redistribute_is_schedule_independent() {
+    // Row blocks re-owned as column blocks through the rank-0 hub at p=3
+    // and as a direct all-to-all at p=2: every delivery order yields the
+    // locals ED would have produced under the column blocks directly.
+    for (strategy, p) in [(RedistStrategy::ViaSource, 3), (RedistStrategy::Direct, 2)] {
+        let from = RowBlock::new(8, 8, p);
+        let to = ColBlock::new(8, 8, p);
+        let (a, machine, run) = ed_state(&from);
+        let report = explore(
+            || match redistribute(
+                &machine,
+                &run.locals,
+                &from,
+                &to,
+                CompressKind::Crs,
+                strategy,
+            ) {
+                Ok(r) => format!("ok locals={:?} ledgers={:?}", r.locals, r.ledgers),
+                Err(e) => format!("err {e}"),
+            },
+            25_000,
+        );
+        let label = format!("redistribute {strategy:?} p={p}");
+        assert_schedule_independent(&label, &report);
+        let direct = run_scheme(SchemeKind::Ed, &machine, &a, &to, CompressKind::Crs).unwrap();
+        let want = format!("ok locals={:?} ", direct.locals);
+        assert!(
+            report.baseline.starts_with(&want),
             "{label}: {}",
             report.baseline
         );
