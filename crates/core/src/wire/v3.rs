@@ -31,6 +31,19 @@
 //! byte straight out of the words; the decoder ORs every plane's bytes
 //! into zeroed `u64` words. Values come back bit for bit.
 //!
+//! **Masked value sections.** A planes section that holds a +0.0 word
+//! (all 64 bits zero; `-0.0`, NaN and subnormals are kept) opens with
+//! tag 3 (`PLANE_MASKED`) where plane 0's tag would be. Its ⌈n/64⌉ nonzero
+//! masks follow as 8 planes — bit `j` of mask `k` is set iff value
+//! `64k + j` is not +0.0, and bits past `n` must be clear — then the `k`
+//! kept words as 8 more planes (none when `k` is 0). An SFC part is a
+//! dense local array, mostly +0.0 words, and each of them costs one mask
+//! bit. Dropping words never lengthens a raw, dictionary or RLE plane,
+//! so a masked section exceeds the unmasked one by at most its tag and
+//! mask planes; a section without a +0.0 word is written unmasked, after
+//! a test that stops at the first zero. The encoder builds the masks and
+//! gathers the kept words in one pass.
+//!
 //! Which encodings the sender uses is the run's [`CodecChoice`] alone:
 //! the default `packed` forces maximum shrink, `raw` and `delta` keep
 //! the cheaper layouts. The choice never reads a message's contents, so
@@ -71,6 +84,9 @@ const PLANE_RAW: u8 = 0;
 const PLANE_DICT: u8 = 1;
 /// Value-plane tag: varint run count, then `(varint len, byte)` runs.
 const PLANE_RLE: u8 = 2;
+/// Value-section tag, where plane 0's tag would be: the section's
+/// nonzero masks as 8 planes, then the words they keep as 8 more.
+const PLANE_MASKED: u8 = 3;
 
 fn codec_err(reason: &'static str) -> CompressError {
     CompressError::Codec { reason }
@@ -146,24 +162,19 @@ impl Codec for V3Packed {
             buf.push_f64_slice(values);
             return;
         }
-        let (opens, plans) = plan_planes(values);
-        let total = plans.iter().map(|(_, cost)| cost).sum();
-        let mut rest = buf.push_zeroed(total, values.len() as u64);
-        // Raw planes are written last, all in one pass over the values.
-        let mut raw: [Option<&mut [u8]>; 8] = Default::default();
-        for (p, (plan, cost)) in plans.iter().enumerate() {
-            let (out, tail) = std::mem::take(&mut rest).split_at_mut(*cost);
-            rest = tail;
-            match *plan {
-                PlanePlan::Raw => {
-                    out[0] = PLANE_RAW;
-                    raw[p] = Some(&mut out[1..]);
-                }
-                PlanePlan::Dict(set) => write_dict(out, values, &opens, p, set),
-                PlanePlan::Rle(runs) => write_rle(out, values, &opens, p, runs),
-            }
+        let n = values.len() as u64;
+        if !has_zero_word(values) {
+            let planes = Planes::new(values);
+            planes.write(buf.push_zeroed(planes.cost(), n));
+            return;
         }
-        write_raw(values, raw);
+        let (masks, kept) = split_zero_words(values);
+        let (masks, kept) = (Planes::new(&masks), Planes::new(&kept));
+        let out = buf.push_zeroed(1 + masks.cost() + kept.cost(), n);
+        out[0] = PLANE_MASKED;
+        let (mask_out, kept_out) = out[1..].split_at_mut(masks.cost());
+        masks.write(mask_out);
+        kept.write(kept_out);
     }
 
     fn decode_values(
@@ -182,13 +193,16 @@ impl Codec for V3Packed {
         if n.checked_mul(8).is_none() {
             return Err(codec_err("value planes overflow").into());
         }
-        let mut words = vec![0u64; n];
-        let mut raw = [None; 8];
-        let mut constant = 0;
-        for (p, slot) in raw.iter_mut().enumerate() {
-            *slot = decode_plane(cursor, &mut words, &mut constant, p)?;
-        }
-        or_raw(&mut words, raw, constant);
+        let masked = cursor
+            .clone()
+            .try_read_raw(1)
+            .is_ok_and(|tag| tag[0] == PLANE_MASKED);
+        let words = if masked {
+            cursor.try_read_raw(1)?;
+            decode_masked(cursor, n)?
+        } else {
+            decode_planes(cursor, n)?
+        };
         Ok(words.into_iter().map(f64::from_bits).collect())
     }
 
@@ -506,11 +520,93 @@ fn plan_plane(values: &[f64], opens: &[[u64; 8]], p: usize) -> (PlanePlan, usize
     best
 }
 
-/// The run opens of `values` and the plan of each of its 8 planes.
-fn plan_planes(values: &[f64]) -> (Vec<[u64; 8]>, [(PlanePlan, usize); 8]) {
-    let opens = plane_opens(values);
-    let plans = std::array::from_fn(|p| plan_plane(values, &opens, p));
-    (opens, plans)
+/// A run of values planned as 8 byte planes: its run opens and each
+/// plane's plan with its exact byte cost.
+struct Planes<'a> {
+    values: &'a [f64],
+    opens: Vec<[u64; 8]>,
+    plans: [(PlanePlan, usize); 8],
+}
+
+impl<'a> Planes<'a> {
+    fn new(values: &'a [f64]) -> Self {
+        let opens = plane_opens(values);
+        let plans = std::array::from_fn(|p| plan_plane(values, &opens, p));
+        Planes {
+            values,
+            opens,
+            plans,
+        }
+    }
+
+    /// The bytes of all 8 planes, tags included. An empty run writes
+    /// nothing, as an empty value section does.
+    fn cost(&self) -> usize {
+        if self.values.is_empty() {
+            return 0;
+        }
+        self.plans.iter().map(|(_, cost)| cost).sum()
+    }
+
+    /// Write the 8 planes into `out`, which is exactly [`Planes::cost`]
+    /// long.
+    fn write(&self, out: &mut [u8]) {
+        if self.values.is_empty() {
+            return;
+        }
+        let (values, opens) = (self.values, &self.opens);
+        let mut rest = out;
+        // Raw planes are written last, all in one pass over the values.
+        let mut raw: [Option<&mut [u8]>; 8] = Default::default();
+        for (p, (plan, cost)) in self.plans.iter().enumerate() {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(*cost);
+            rest = tail;
+            match *plan {
+                PlanePlan::Raw => {
+                    out[0] = PLANE_RAW;
+                    raw[p] = Some(&mut out[1..]);
+                }
+                PlanePlan::Dict(set) => write_dict(out, values, opens, p, set),
+                PlanePlan::Rle(runs) => write_rle(out, values, opens, p, runs),
+            }
+        }
+        write_raw(values, raw);
+    }
+}
+
+/// Whether any of `values` is +0.0, all 64 bits zero. It stops at the
+/// first 64-value block holding one; within a block the test has no
+/// branch.
+fn has_zero_word(values: &[f64]) -> bool {
+    values.chunks(64).any(|block| {
+        block
+            .iter()
+            .fold(false, |zero, v| zero | (v.to_bits() == 0))
+    })
+}
+
+/// Split `values` in one pass into their nonzero masks and the values
+/// they keep. Bit `j` of mask `k` is set iff value `64k + j` is not +0.0;
+/// the masks are carried as `f64` bits so the plane planner takes them as
+/// it takes values. Each block's kept values are gathered without a
+/// branch into a block-sized buffer, then appended.
+fn split_zero_words(values: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let mut masks = Vec::with_capacity(values.len().div_ceil(64));
+    let mut kept = Vec::new();
+    let mut gathered = [0.0; 64];
+    for block in values.chunks(64) {
+        let mut mask = 0u64;
+        let mut k = 0;
+        for (j, &v) in block.iter().enumerate() {
+            let keep = v.to_bits() != 0;
+            gathered[k] = v;
+            k += usize::from(keep);
+            mask |= u64::from(keep) << j;
+        }
+        masks.push(f64::from_bits(mask));
+        kept.extend_from_slice(&gathered[..k]);
+    }
+    (masks, kept)
 }
 
 /// Write `v` as a LEB128 varint to the front of `out`; returns its length.
@@ -737,6 +833,46 @@ fn or_raw(words: &mut [u64], raw: [Option<&[u8]>; 8], constant: u64) {
             }
         }
     }
+}
+
+/// Read back `n` words written as 8 planes by [`Planes::write`]; `n`
+/// times 8 must not overflow. An empty run reads nothing.
+fn decode_planes(cursor: &mut UnpackCursor<'_>, n: usize) -> Result<Vec<u64>, SparsedistError> {
+    let mut words = vec![0u64; n];
+    if n == 0 {
+        return Ok(words);
+    }
+    let mut raw = [None; 8];
+    let mut constant = 0;
+    for (p, slot) in raw.iter_mut().enumerate() {
+        *slot = decode_plane(cursor, &mut words, &mut constant, p)?;
+    }
+    or_raw(&mut words, raw, constant);
+    Ok(words)
+}
+
+/// Read back the `n` words of a [`PLANE_MASKED`] section after its tag:
+/// the nonzero masks, then the words they keep, scattered by the mask
+/// bits into +0.0 everywhere else.
+fn decode_masked(cursor: &mut UnpackCursor<'_>, n: usize) -> Result<Vec<u64>, SparsedistError> {
+    let masks = decode_planes(cursor, n.div_ceil(64))?;
+    let tail = n % 64;
+    if tail != 0 && masks.last().is_some_and(|&m| m >> tail != 0) {
+        return Err(codec_err("value-plane mask bit past the value count").into());
+    }
+    let k = masks.iter().map(|m| m.count_ones() as usize).sum();
+    let kept = decode_planes(cursor, k)?;
+    let mut words = vec![0u64; n];
+    let mut at = 0;
+    for (block, &mask) in words.chunks_mut(64).zip(&masks) {
+        let mut bits = mask;
+        while bits != 0 {
+            block[bits.trailing_zeros() as usize] = kept[at];
+            at += 1;
+            bits &= bits - 1;
+        }
+    }
+    Ok(words)
 }
 
 /// Read back plane `p`. A raw plane's bytes are returned and a constant
@@ -1074,6 +1210,27 @@ mod tests {
             try_decode(&[PLANE_DICT, 1, 0, PLANE_RAW, 7], 2),
             unpack(4, 1)
         );
+        // A masked section of 3 values whose one mask sets bit 5, then
+        // bit 2: each plane a one-entry dictionary.
+        let mask_planes = |mask: u64| -> Vec<u8> {
+            (0..8)
+                .flat_map(|p| [PLANE_DICT, 1, (mask >> (8 * p)) as u8])
+                .collect()
+        };
+        assert_eq!(
+            try_decode(&[&[PLANE_MASKED][..], &mask_planes(1 << 5)].concat(), 3),
+            codec("value-plane mask bit past the value count")
+        );
+        // Bit 2 keeps value 2, whose planes are cut off.
+        assert_eq!(
+            try_decode(&[&[PLANE_MASKED][..], &mask_planes(1 << 2)].concat(), 3),
+            unpack(25, 0)
+        );
+        // The masks and the kept words are plain planes: no nested mask.
+        assert_eq!(
+            try_decode(&[PLANE_MASKED, PLANE_MASKED], 3),
+            codec("unknown value-plane tag")
+        );
     }
 
     /// Values whose plane `p` is `bytes` and whose other planes are zero.
@@ -1200,33 +1357,90 @@ mod tests {
         bytes
     }
 
+    /// The 8 reference planes of `words`, nothing for an empty run.
+    fn reference_planes(words: &[u64]) -> Vec<u8> {
+        if words.is_empty() {
+            return Vec::new();
+        }
+        (0..8)
+            .flat_map(|p| {
+                let bytes: Vec<u8> = words.iter().map(|w| (w >> (8 * p)) as u8).collect();
+                reference_plane(&bytes)
+            })
+            .collect()
+    }
+
+    /// The value section the encoder must write for `values`: without a
+    /// +0.0 word their 8 planes; with one, the masked tag, the planes of
+    /// the masks (set bit by bit) and the planes of the kept words.
+    fn reference_section(values: &[f64]) -> Vec<u8> {
+        let words: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        if !words.contains(&0) {
+            return reference_planes(&words);
+        }
+        let mut masks = vec![0u64; words.len().div_ceil(64)];
+        for (i, &w) in words.iter().enumerate() {
+            if w != 0 {
+                masks[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let kept: Vec<u64> = words.into_iter().filter(|&w| w != 0).collect();
+        [
+            vec![PLANE_MASKED],
+            reference_planes(&masks),
+            reference_planes(&kept),
+        ]
+        .concat()
+    }
+
     #[test]
     fn planes_match_a_per_byte_reference() {
-        // Eight independent random planes per message: the encoder writes
-        // each as the reference does, the planner prices exactly what is
-        // written, and every value decodes back bit for bit.
+        // Eight independent random planes per message, and in some
+        // messages runs of +0.0 words: the encoder writes each section as
+        // the reference does, the planner prices exactly what is written,
+        // and every value decodes back bit for bit. The kept words' planes
+        // are never longer than all the words' planes.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = Lcg(7);
+        let mut masked = 0;
         for case in 0..400 {
             let n = random_len(&mut rng);
             let planes: Vec<Vec<u8>> = (0..8).map(|_| random_plane(&mut rng, n)).collect();
-            let values: Vec<f64> = (0..n)
+            let mut values: Vec<f64> = (0..n)
                 .map(|i| f64::from_le_bytes(std::array::from_fn(|p| planes[p][i])))
                 .collect();
+            if rng.below(2) == 0 {
+                let keep = random_plane(&mut rng, n);
+                for (v, k) in values.iter_mut().zip(keep) {
+                    if k == 0 {
+                        *v = 0.0;
+                    }
+                }
+            }
             let mut buf = PackBuffer::new();
             V3_PACKED.encode_values(&mut buf, &values, VAL_PLANES);
             if n == 0 {
                 assert!(buf.as_bytes().is_empty());
                 continue;
             }
-            let expect: Vec<u8> = planes.iter().flat_map(|p| reference_plane(p)).collect();
+            let expect = reference_section(&values);
             assert_eq!(buf.as_bytes(), expect, "case {case}: n {n}");
+            if expect[0] == PLANE_MASKED {
+                masked += 1;
+                let words = bits(&values);
+                let kept: Vec<u64> = words.iter().copied().filter(|&w| w != 0).collect();
+                assert!(
+                    reference_planes(&kept).len() <= reference_planes(&words).len(),
+                    "case {case}: dropping the zero words lengthened the planes"
+                );
+            }
 
             let mut c = buf.cursor();
             let back = V3_PACKED.decode_values(&mut c, n, VAL_PLANES).unwrap();
             assert!(c.is_exhausted());
             assert_eq!(bits(&back), bits(&values), "case {case}");
         }
+        assert!(masked > 50, "only {masked} masked sections");
     }
 
     #[test]

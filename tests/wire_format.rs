@@ -279,6 +279,45 @@ fn v3_rle_varint_boundaries_bytes_golden() {
     assert_eq!(bits_of(&back), bits_of(&values));
 }
 
+#[test]
+fn v3_masked_value_section_bytes_golden() {
+    // 70 values, +0.0 but for 1.5 at 3, -0.0 at 40 and 2.5 at 66: tag 3,
+    // then the two nonzero masks as 8 planes, then the three kept words
+    // as 8 planes. Two-byte planes cost 3 bytes raw and 3 as a one-entry
+    // dictionary, and the tie goes to the dictionary.
+    let mut values = vec![0.0; 70];
+    values[3] = 1.5;
+    values[40] = -0.0;
+    values[66] = 2.5;
+    let buf = v3_planes_message(&values);
+
+    let mut expect = vec![b'S', b'3', IDX_PACKED | VAL_PLANES, 3];
+    let masks: [u64; 2] = [1 << 3 | 1 << 40, 1 << 2];
+    for p in 0..8 {
+        let bytes = masks.map(|m| (m >> (8 * p)) as u8);
+        match bytes {
+            [0, 0] => dict_plane(&mut expect, &[0], &bytes),
+            _ => raw_plane(&mut expect, &bytes),
+        }
+    }
+    // Plane 5 holds mask bit 40: byte 0x01 of the first mask.
+    assert_eq!(&expect[4 + 15..4 + 18], &[0, 0x01, 0]);
+    // The kept words 1.5, -0.0 and 2.5 are 0x3ff8, 0x8000 and 0x4004 in
+    // their top 16 bits; their low six planes are zero.
+    for _ in 0..6 {
+        expect.extend_from_slice(&[1, 1, 0]);
+    }
+    raw_plane(&mut expect, &[0xf8, 0x00, 0x04]);
+    raw_plane(&mut expect, &[0x3f, 0x80, 0x40]);
+    assert_eq!(buf.as_bytes(), expect.as_slice());
+    assert_eq!(buf.byte_len(), 3 + 1 + 24 + 26);
+    // The section still credits every value as an element.
+    assert_eq!(buf.elem_count(), 70);
+
+    let back = wire::unpack_values(&mut buf.cursor(), 70, WireFormat::V3).unwrap();
+    assert_eq!(bits_of(&back), bits_of(&values));
+}
+
 /// A v3 message carrying only the pointer and index streams under `desc`.
 fn v3_index_message(pointer: &[usize], indices: &[usize], desc: u8) -> PackBuffer {
     let mut buf = PackBuffer::new();

@@ -119,23 +119,112 @@ fn single_byte_corruption_never_panics() {
     }
 }
 
-/// The dense value stream (SFC's whole payload) hardens the same way.
+/// Dense value streams (SFC's whole payload). Under v3 packed each one's
+/// value section is masked: a +0.0 word in every fifth value, all +0.0,
+/// exactly one +0.0, +0.0 words on both sides of the 64-value mask
+/// boundaries (63, 64, 65 values) and past a 4096-value part. The
+/// patterned values keep the long stream short enough to sweep.
+fn value_fixtures() -> Vec<Vec<f64>> {
+    let pattern = |n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    (i % 7) as f64 * 1.25
+                }
+            })
+            .collect()
+    };
+    let mut one_zero: Vec<f64> = (0..48).map(|i| 1.0 + i as f64 / 8.0).collect();
+    one_zero[17] = 0.0;
+    vec![
+        (0..48).map(|i| (i % 5) as f64 * 1.25).collect(),
+        vec![0.0; 48],
+        one_zero,
+        pattern(63),
+        pattern(64),
+        pattern(65),
+        pattern(4097),
+    ]
+}
+
+fn bits_of(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The dense value stream hardens the same way: it round-trips bit for
+/// bit, and every prefix of it is a typed error.
 #[test]
 fn value_stream_truncation_is_a_typed_error_in_all_formats() {
-    let values: Vec<f64> = (0..48).map(|i| (i % 5) as f64 * 1.25).collect();
-    for policy in policies() {
-        let mut buf = PackBuffer::new();
-        wire::pack_values_into(&mut buf, &values, &policy);
-        let bytes = buf.as_bytes().to_vec();
-        let full = wire::unpack_values(&mut buf.cursor(), values.len(), policy.format)
-            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-        assert_eq!(full, values, "{policy:?}");
-        for cut in 0..bytes.len() {
-            let short = from_bytes(&bytes[..cut]);
-            let got = wire::unpack_values(&mut short.cursor(), values.len(), policy.format);
-            assert!(got.is_err(), "{policy:?}: {cut}-byte prefix decoded");
+    for values in value_fixtures() {
+        let n = values.len();
+        for policy in policies() {
+            let mut buf = PackBuffer::new();
+            wire::pack_values_into(&mut buf, &values, &policy);
+            let bytes = buf.as_bytes().to_vec();
+            let full = wire::unpack_values(&mut buf.cursor(), n, policy.format)
+                .unwrap_or_else(|e| panic!("{policy:?} {n} values: {e}"));
+            assert_eq!(bits_of(&full), bits_of(&values), "{policy:?} {n} values");
+            for cut in 0..bytes.len() {
+                let short = from_bytes(&bytes[..cut]);
+                let got = wire::unpack_values(&mut short.cursor(), n, policy.format);
+                assert!(
+                    got.is_err(),
+                    "{policy:?} {n} values: {cut}-byte prefix decoded"
+                );
+            }
         }
     }
+}
+
+/// Pack `values` under v3 packed, whose value section must be masked.
+fn pack_masked(values: &[f64]) -> Vec<u8> {
+    let mut buf = PackBuffer::new();
+    wire::pack_values_into(&mut buf, values, &WirePolicy::of(WireFormat::V3));
+    let bytes = buf.as_bytes().to_vec();
+    assert_eq!(
+        bytes[3],
+        3,
+        "{} values: section is not masked",
+        values.len()
+    );
+    bytes
+}
+
+/// Corrupting any single byte of a masked section — its tag, a mask
+/// plane, a kept word's plane — never panics, and a decode that still
+/// succeeds yields exactly the values asked for.
+#[test]
+fn masked_value_stream_corruption_never_panics() {
+    for values in value_fixtures() {
+        let n = values.len();
+        let bytes = pack_masked(&values);
+        for pos in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[pos] ^= mask;
+                let got = wire::unpack_values(&mut from_bytes(&bad).cursor(), n, WireFormat::V3);
+                if let Ok(back) = got {
+                    assert_eq!(back.len(), n, "{n} values: pos {pos} mask {mask:#x}");
+                }
+            }
+        }
+    }
+}
+
+/// Mask bits past the value count are a typed error: 128 values, their
+/// last 63 nonzero, read back as 65.
+#[test]
+fn mask_bits_past_the_value_count_are_a_typed_error() {
+    let values: Vec<f64> = (0..128).map(|i| if i < 65 { 0.0 } else { 1.5 }).collect();
+    let bytes = pack_masked(&values);
+    assert_eq!(
+        wire::unpack_values(&mut from_bytes(&bytes).cursor(), 65, WireFormat::V3),
+        Err(SparsedistError::Compress(CompressError::Codec {
+            reason: "value-plane mask bit past the value count"
+        }))
+    );
 }
 
 /// A receiver that asks for more segments than the frame carries must
