@@ -416,12 +416,12 @@ impl Multicomputer {
         let mut tasks: Vec<RankTask<'_, (R, PhaseLedger, Option<RankTrace>)>> =
             Vec::with_capacity(p);
         for rank in 0..p {
-            let env = Env::new(rank, self, tracing, Rc::clone(&fabric));
+            let mut env = Env::new(rank, self, tracing, Rc::clone(&fabric));
             // The env is moved *into* the task so the future is
             // self-contained: no self-referential (env, future) pairs, no
-            // unsafe.
+            // unsafe. It is captured as is, not rebound inside, so the
+            // future holds one `Env`, not two.
             tasks.push(Box::pin(async move {
-                let mut env = env;
                 // lint: allow(C001) — the executor awaits the whole rank task; its internal yield points are still receives and the send budget
                 let out = f(ctx, &mut env).await;
                 let (ledger, trace) = env.into_parts();

@@ -493,10 +493,12 @@ fn noop_waker() -> Waker {
 /// synthesizes wakeups so pending receives surface [`CommError::Stalled`]
 /// instead of deadlocking.
 pub(crate) fn drive<'f, T>(
-    mut tasks: Vec<Pin<Box<dyn Future<Output = T> + 'f>>>,
+    tasks: Vec<Pin<Box<dyn Future<Output = T> + 'f>>>,
     fabric: &Rc<EventFabric>,
 ) -> Vec<T> {
     let p = tasks.len();
+    // A finished task is dropped at once, not held until the run ends.
+    let mut tasks: Vec<Option<_>> = tasks.into_iter().map(Some).collect();
     let mut results: Vec<Option<T>> = (0..p).map(|_| None).collect();
     let mut remaining = p;
     let waker = noop_waker();
@@ -523,8 +525,13 @@ pub(crate) fn drive<'f, T>(
                 continue;
             }
         };
-        match tasks[rank].as_mut().poll(&mut cx) {
+        // Only unfinished ranks are ever enqueued.
+        let Some(task) = tasks[rank].as_mut() else {
+            continue;
+        };
+        match task.as_mut().poll(&mut cx) {
             Poll::Ready(out) => {
+                tasks[rank] = None;
                 results[rank] = Some(out);
                 remaining -= 1;
                 let mut st = fabric.state.borrow_mut();
